@@ -13,7 +13,7 @@
 #include "bench/harness.h"
 #include "src/gen/wathen.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/reference_backend.h"
 #include "src/util/table.h"
 
 namespace refloat::bench {
@@ -29,7 +29,7 @@ void run_matrix(const char* name, const sparse::Csr& a, int fv,
   const std::vector<double> b = solve::make_rhs(a);
   solve::SolveOptions opts = evaluation_options();
 
-  solve::CsrOperator op_double(a);
+  solve::ReferenceBackend op_double(a);
   const solve::SolveResult base = solve::cg(op_double, b, opts);
   std::printf("%s (n=%lld, double: %ld iterations):\n", name,
               static_cast<long long>(a.rows()), base.iterations);
@@ -52,8 +52,8 @@ void run_matrix(const char* name, const sparse::Csr& a, int fv,
   fmt.fv = fv;
   for (const Variant& v : variants) {
     const core::RefloatMatrix rf(a, fmt, v.policy);
-    solve::RefloatOperator op(rf);
-    const solve::SolveResult res = solve::cg(op, b, opts);
+    const auto op = core::make_value_backend(rf, core::default_tile_count());
+    const solve::SolveResult res = solve::cg(*op, b, opts);
     table.add_row({v.name, util::fmt_g(rf.stats().rel_error_fro, 3),
                    std::to_string(rf.stats().overflowed),
                    solve::status_name(res.status),

@@ -11,7 +11,6 @@
 #include "bench/harness.h"
 #include "src/arch/cost.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
 #include "src/util/table.h"
 
 int main() {
@@ -35,8 +34,8 @@ int main() {
     core::Format fmt = core::default_format();
     fmt.b = b;
     const core::RefloatMatrix rf(a, fmt);
-    solve::RefloatOperator op(rf);
-    const solve::SolveResult res = solve::cg(op, b_vec, opts);
+    const auto op = core::make_value_backend(rf, core::default_tile_count());
+    const solve::SolveResult res = solve::cg(*op, b_vec, opts);
     table.add_row({std::to_string(b), std::to_string(1 << b),
                    util::fmt_i(static_cast<long long>(rf.nonzero_blocks())),
                    std::to_string(rf.stats().locality_bits),

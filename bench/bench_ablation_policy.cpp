@@ -12,7 +12,6 @@
 
 #include "bench/harness.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
 #include "src/util/table.h"
 
 int main() {
@@ -53,8 +52,8 @@ int main() {
       {"policy", "conv err", "flushed", "status", "iterations"});
   for (const Case& c : cases) {
     const core::RefloatMatrix rf(a, core::default_format(), c.policy);
-    solve::RefloatOperator op(rf);
-    const solve::SolveResult res = solve::cg(op, b, opts);
+    const auto op = core::make_value_backend(rf, core::default_tile_count());
+    const solve::SolveResult res = solve::cg(*op, b, opts);
     table.add_row({c.name, util::fmt_g(rf.stats().rel_error_fro, 3),
                    std::to_string(rf.stats().flushed_to_zero),
                    solve::status_name(res.status),

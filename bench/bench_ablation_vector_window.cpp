@@ -12,7 +12,6 @@
 #include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
 #include "src/sparse/vector_ops.h"
 #include "src/util/random.h"
 #include "src/util/table.h"
@@ -39,12 +38,12 @@ int main() {
   for (int ev = 2; ev <= 6; ++ev) {
     const core::Format fmt{.b = 7, .e = 3, .f = 8, .ev = ev, .fv = 12};
     const core::RefloatMatrix rf(a, fmt);
-    solve::RefloatOperator op(rf);
+    const auto op = core::make_value_backend(rf, core::default_tile_count());
     solve::SolveOptions opts;
     opts.tolerance = 1e-4;
     opts.max_iterations = 3000;
     opts.stall_window = 800;
-    const solve::SolveResult res = solve::cg(op, r, opts);
+    const solve::SolveResult res = solve::cg(*op, r, opts);
 
     a.spmv(res.solution, ax);
     sparse::sub(r, ax, rt);

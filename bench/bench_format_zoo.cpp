@@ -11,7 +11,6 @@
 
 #include "bench/harness.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
 #include "src/util/table.h"
 
 int main() {
@@ -52,8 +51,8 @@ int main() {
                      "xbars/cluster (Eq.2)", "cycles (Eq.3)"});
   for (const Entry& entry : entries) {
     const core::RefloatMatrix rf(a, entry.fmt);
-    solve::RefloatOperator op(rf);
-    const solve::SolveResult res = solve::cg(op, b, opts);
+    const auto op = core::make_value_backend(rf, core::default_tile_count());
+    const solve::SolveResult res = solve::cg(*op, b, opts);
     const long xbars = 4L * core::model_bits(entry.fmt.e, entry.fmt.f);
     const long cycles = core::model_bits(entry.fmt.ev, entry.fmt.fv) +
                         core::model_bits(entry.fmt.e, entry.fmt.f) - 1;

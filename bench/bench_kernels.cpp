@@ -13,6 +13,7 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/core/simd.h"
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/engine.h"
 #include "src/solvers/solver.h"
@@ -90,9 +91,9 @@ void BM_RefloatSpmv(benchmark::State& state) {
   std::vector<double> x(a.rows());
   for (double& v : x) v = rng.gaussian();
   std::vector<double> y(a.rows());
-  std::vector<double> scratch;
+  const auto backend = core::make_value_backend(rf);
   for (auto _ : state) {
-    rf.spmv_refloat(x, y, scratch);
+    backend->sweep(x, 1, y, {});
     benchmark::DoNotOptimize(y.data());
   }
   const auto nnz = static_cast<double>(rf.plan().num_entries());
@@ -165,9 +166,9 @@ void BM_RefloatSpmm8(benchmark::State& state) {
   std::vector<double> x(n * kRhs);
   for (double& v : x) v = rng.gaussian();
   std::vector<double> y(n * kRhs);
-  core::MultiSpmvScratch scratch;
+  const auto backend = core::make_value_backend(rf);
   for (auto _ : state) {
-    rf.spmv_refloat_multi(x, kRhs, y, scratch);
+    backend->sweep(x, kRhs, y, {});
     benchmark::DoNotOptimize(y.data());
   }
   const auto nnz = static_cast<double>(rf.plan().num_entries());
@@ -263,11 +264,10 @@ void BM_RefloatSpmv8Sequential(benchmark::State& state) {
   std::vector<double> x(n * kRhs);
   for (double& v : x) v = rng.gaussian();
   std::vector<double> y(n);
-  std::vector<double> scratch;
+  const auto backend = core::make_value_backend(rf);
   for (auto _ : state) {
     for (std::size_t j = 0; j < kRhs; ++j) {
-      rf.spmv_refloat(std::span<const double>(x).subspan(j * n, n), y,
-                      scratch);
+      backend->sweep(std::span<const double>(x).subspan(j * n, n), 1, y, {});
       benchmark::DoNotOptimize(y.data());
     }
   }

@@ -12,7 +12,7 @@
 
 #include "bench/harness.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/reference_backend.h"
 #include "src/sparse/vector_ops.h"
 #include "src/util/table.h"
 
@@ -26,8 +26,9 @@ struct PaperRow {
 
 long run_truncated(const MatrixBundle& bundle, int exp_bits, int frac_bits,
                    std::string& status) {
-  solve::TruncatedOperator op(bundle.a,
-                              {.exp_bits = exp_bits, .frac_bits = frac_bits});
+  solve::ReferenceBackend op(bundle.a,
+                             solve::TruncateSpec{.exp_bits = exp_bits,
+                                                 .frac_bits = frac_bits});
   solve::SolveOptions opts = evaluation_options();
   opts.max_iterations = 60000;  // the paper's 7-bit case ran 20620
   const solve::SolveResult res = solve::cg(op, bundle.b, opts);
@@ -43,8 +44,9 @@ long run_truncated(const MatrixBundle& bundle, int exp_bits, int frac_bits,
 // above tau the run never converges (see EXPERIMENTS.md).
 long run_truncated_true(const MatrixBundle& bundle, int exp_bits,
                         int frac_bits, std::string& status) {
-  solve::TruncatedOperator op(bundle.a,
-                              {.exp_bits = exp_bits, .frac_bits = frac_bits});
+  solve::ReferenceBackend op(bundle.a,
+                             solve::TruncateSpec{.exp_bits = exp_bits,
+                                                 .frac_bits = frac_bits});
   const auto n = bundle.b.size();
   std::vector<double> x(n, 0.0), r(bundle.b), p(r), s(n), ax(n), rt(n);
   const double tol = 1e-8;
@@ -52,7 +54,7 @@ long run_truncated_true(const MatrixBundle& bundle, int exp_bits,
   long best_iter = 0;
   double rho = sparse::dot(r, r);
   for (long k = 1; k <= 60000; ++k) {
-    op.apply(p, s);
+    op.sweep(p, 1, s, {});
     const double p_ap = sparse::dot(p, s);
     if (!std::isfinite(p_ap) || p_ap == 0.0) {
       status = "breakdown";

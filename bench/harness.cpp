@@ -17,7 +17,7 @@
 #include "src/arch/cost.h"
 #include "src/solvers/bicgstab.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/reference_backend.h"
 #include "src/sparse/blocked.h"
 #include "src/util/log.h"
 #include "src/util/table.h"
@@ -250,13 +250,13 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
     if (trace_ok) return *cached;
   }
 
-  // Platform operator. The RefloatMatrix conversion is rebuilt per call;
+  // Platform backend. The RefloatMatrix conversion is rebuilt per call;
   // it is cheap next to the solve itself.
   std::unique_ptr<core::RefloatMatrix> rf;
-  std::unique_ptr<solve::LinearOperator> op;
+  std::unique_ptr<core::SweepBackend> op;
   switch (platform) {
     case Platform::kDouble:
-      op = std::make_unique<solve::CsrOperator>(bundle.a);
+      op = std::make_unique<solve::ReferenceBackend>(bundle.a);
       break;
     case Platform::kRefloat: {
       rf = std::make_unique<core::RefloatMatrix>(bundle.a, bundle.format);
@@ -272,11 +272,12 @@ SolveRecord run_solve(const MatrixBundle& bundle, SolverKind solver,
             "terminates in a handful of iterations",
             m.c_str(), cs.probe_lambda_min, cs.probe_steps);
       }
-      op = std::make_unique<solve::RefloatOperator>(*rf);
+      op = core::make_value_backend(*rf, core::default_tile_count());
       break;
     }
     case Platform::kFeinberg:
-      op = std::make_unique<solve::FeinbergOperator>(bundle.a);
+      op = std::make_unique<solve::ReferenceBackend>(
+          bundle.a, solve::ReferenceArithmetic::kFeinberg);
       break;
   }
 

@@ -11,9 +11,9 @@
 //   sweep_spmm/<isa>/K    kernel-only K-RHS interleaved sweep, K 2/4/8/16
 //   quantize_span/<isa>   the exponent-field fast path over dense spans
 //   plan_build            RefloatMatrix conversion (quantize + arena)
-//   spmv_e2e/<isa>        full spmv_refloat (quantize_vector + sweep) at
-//                         grid 128 — comparable to the historical 316 us
-//                         scalar number in EXPERIMENTS.md
+//   spmv_e2e/<isa>        full k=1 value-backend sweep (quantize_vector +
+//                         sweep) at grid 128 — comparable to the historical
+//                         316 us scalar number in EXPERIMENTS.md
 //   spmv_threads/T        spmv_e2e on the active ISA at T = 1/2/4/8 pool
 //                         threads
 //   backend_sweep/<kind>  the unified core::SweepBackend sweep entry
@@ -190,16 +190,16 @@ void plan_build(benchmark::State& state) {
                           static_cast<long>(w.a.nnz()));
 }
 
-// --- spmv_e2e / spmv_threads: the full spmv_refloat path -------------------
+// --- spmv_e2e / spmv_threads: the full k=1 value-backend sweep -------------
 
 void spmv_e2e(benchmark::State& state, core::SimdIsa isa, int threads) {
   core::simd_set_isa(isa);
   util::ThreadPool::set_global_threads(threads);
   const Workload& w = workload(state.range(0));
   std::vector<double> y(static_cast<std::size_t>(w.a.rows()));
-  std::vector<double> scratch;
+  const auto backend = core::make_value_backend(w.rf);
   for (auto _ : state) {
-    w.rf.spmv_refloat(w.x, y, scratch);
+    backend->sweep(w.x, 1, y, {});
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<long>(state.iterations()) *

@@ -35,6 +35,8 @@ const char* backend_kind_name(BackendKind kind) {
       return "noisy";
     case BackendKind::kBitTrue:
       return "bittrue";
+    case BackendKind::kReference:
+      return "reference";
   }
   return "value";
 }
@@ -377,7 +379,7 @@ class ValueBackend final : public SweepBackend {
   const RefloatMatrix& rf_;
   TileRouting tiles_;
   std::vector<double> xq_;
-  MultiSpmvScratch scratch_;
+  detail::MultiSpmvScratch scratch_;
 };
 
 class NoisyBackend final : public SweepBackend {
@@ -404,8 +406,8 @@ class NoisyBackend final : public SweepBackend {
     std::span<const std::uint64_t> sequences = ctx.sequences;
     if (seeds.empty()) {
       // Default identity: the backend's seed (forked per column past 0) and
-      // one shared application counter per sweep call — k=1 is exactly the
-      // pre-backend NoisyRefloatOperator stream (seed, sequence++).
+      // one shared application counter per sweep call — k=1 draws the
+      // stream (seed, sequence++).
       default_seeds_.resize(k);
       default_sequences_.assign(k, sequence_);
       for (std::size_t j = 0; j < k; ++j) {
@@ -437,7 +439,7 @@ class NoisyBackend final : public SweepBackend {
   std::vector<std::uint64_t> default_seeds_;
   std::vector<std::uint64_t> default_sequences_;
   std::vector<double> xq_;
-  MultiSpmvScratch scratch_;
+  detail::MultiSpmvScratch scratch_;
 };
 
 }  // namespace

@@ -1,16 +1,18 @@
-// SweepBackend: the one execution interface behind the paper's three views
-// of the same crossbar sweep — value-faithful (exact quantized values),
-// noisy (Fig. 10 multiplicative RTN on every per-block row partial), and
-// bit-true (the hw/ crossbar datapath with faults + ECC). Every view
-// exposes the same k-RHS entry point
+// SweepBackend: the one operator interface every solver runs against. The
+// paper's three views of the same crossbar sweep — value-faithful (exact
+// quantized values), noisy (Fig. 10 multiplicative RTN on every per-block
+// row partial), and bit-true (the hw/ crossbar datapath with faults + ECC)
+// — implement it here and in hw/, and the reference platforms over a plain
+// CSR (exact double, Feinberg, Table I truncation) implement it in
+// src/solvers/reference_backend.h. Every view exposes the same k-RHS entry
+// point
 //
 //     sweep(X, k, Y, ctx)   // X: k column-major vectors, Y likewise
 //
 // with the shared guarantees the solvers and the serving layer build on:
 //
-//   * k = 1 is bit-identical to the pre-backend single-RHS kernels
-//     (spmv_refloat / spmv_refloat_noisy / HwSpmv::apply) — the batched
-//     scaffolding is skipped entirely, not merely equivalent.
+//   * k = 1 runs the single-RHS kernels directly — the batched
+//     interleave/deinterleave scaffolding is skipped entirely.
 //   * Column j of a k-RHS sweep is bit-identical to a solo sweep of that
 //     column: blocks are visited once per batch and applied to all k
 //     columns, but per column the accumulation order is exactly the serial
@@ -23,9 +25,9 @@
 // Tiling is a constructor-time choice (a pure scheduling change), threading
 // lives inside the sweep on util::ThreadPool::global(), and the
 // quantize -> interleave -> sharded block-row sweep -> deinterleave
-// scaffolding that used to be triplicated across the RefloatMatrix methods
-// lives once in sweep_backend.cc (detail::*), with sparse::interleave /
-// sparse::deinterleave as the single layout-transpose definition.
+// scaffolding lives once in sweep_backend.cc (detail::*), with
+// sparse::interleave / sparse::deinterleave as the single layout-transpose
+// definition.
 //
 // This TU is compiled with -ffp-contract=off like the kernel TUs: the noisy
 // partial accumulation is scalar code, and pinning its rounding makes the
@@ -47,12 +49,16 @@ enum class BackendKind {
   kValue = 0,    // exact quantized-value sweep
   kNoisy = 1,    // + multiplicative Gaussian RTN per block-row partial
   kBitTrue = 2,  // hw/ bit-serial crossbar datapath (faults, ADC, ECC)
+  // Plain-CSR platforms (exact double, Feinberg, truncated) with no ReRAM
+  // model: never served, so parse_backend_kind rejects its name.
+  kReference = 3,
 };
 
-// Short lowercase name ("value", "noisy", "bittrue") — the serve protocol's
-// backend= token and the residency-cache key component.
+// Short lowercase name ("value", "noisy", "bittrue", "reference") — the
+// serve protocol's backend= token and the residency-cache key component.
 const char* backend_kind_name(BackendKind kind);
-// Parses a backend_kind_name token; false (out unchanged) on anything else.
+// Parses a served backend_kind_name token ("value", "noisy", "bittrue");
+// false (out unchanged) on anything else, "reference" included.
 bool parse_backend_kind(std::string_view name, BackendKind* out);
 
 // Salt used to fork one base seed into per-column stream seeds (column 0
@@ -169,10 +175,9 @@ std::unique_ptr<SweepBackend> make_value_backend(const RefloatMatrix& rf,
 
 // Noisy backend (Fig. 10 RTN model): multiplicative Gaussian noise of
 // deviation `sigma` on every nonzero per-block row partial. With an empty
-// SweepContext, column 0 of sweep number s draws the streams of
-// spmv_refloat_noisy(seed, sequence = s) — the pre-backend
-// NoisyRefloatOperator semantics — and later columns fork the seed per
-// column.
+// SweepContext, column 0 of sweep number s draws the streams of the
+// explicit context {seeds = {seed}, sequences = {s}}, and later columns
+// fork the seed per column.
 std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,
                                                  double sigma,
                                                  std::uint64_t seed,
@@ -186,12 +191,19 @@ std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,
 
 namespace detail {
 
-// The shared sweep scaffolding (quantize -> zero -> sharded block-row sweep,
-// plus interleave/deinterleave for k > 1), parameterized by an optional
-// borrowed TiledPlan (nullptr or empty = untiled). These are what both the
-// backends above and the legacy RefloatMatrix::spmv_* entry points call —
-// one definition per path, so "k=1 through the backend" and "the legacy
-// method" are the same instructions by construction.
+// Reusable buffers for the k-RHS sweeps: the quantized column-major batch
+// and the row-major interleaved (n x k) operand/result images. One
+// instance per backend, like the single-RHS scratch.
+struct MultiSpmvScratch {
+  std::vector<double> columns;
+  std::vector<double> x_interleaved;
+  std::vector<double> y_interleaved;
+};
+
+// The shared sweep scaffolding behind the value and noisy backends
+// (quantize -> zero -> sharded block-row sweep, plus interleave/deinterleave
+// for k > 1), parameterized by an optional borrowed TiledPlan (nullptr or
+// empty = untiled).
 void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
                         std::span<const double> x, std::span<double> y,
                         std::vector<double>& xq);

@@ -55,9 +55,9 @@ void BitTrueBackend::sweep(std::span<const double> x, std::size_t k,
   if (!hw_.noisy()) {
     std::fill(bases_.begin(), bases_.end(), 0);
   } else if (ctx.seeds.empty()) {
-    // Legacy caller pattern: one internal rng, one draw per column per
-    // sweep — a k=1 sweep sequence is bit-identical to
-    // `util::Rng rng(seed); hw.apply(x, y, rng)` per call.
+    // One internal rng, one draw per column per sweep — a k=1 sweep
+    // sequence is bit-identical to `util::Rng rng(seed); hw.apply(x, y,
+    // rng)` per call.
     for (std::size_t j = 0; j < k; ++j) bases_[j] = default_rng_.next();
   } else {
     // Counter-based: column j's base depends only on its own identity, so

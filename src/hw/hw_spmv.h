@@ -1,7 +1,7 @@
 // Whole-matrix SpMV over the bit-true datapath: one ProcessingEngine per
 // nonzero ReFloat block (programmed straight from the SpmvPlan arena),
 // partial outputs accumulated digitally — the hardware-exact counterpart of
-// RefloatMatrix::spmv_refloat.
+// the value backend's sweep (core::make_value_backend).
 //
 // apply() shards by block-row over util::ThreadPool::global()
 // ($REFLOAT_THREADS): block-rows own disjoint output rows, every shard
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/tiled_plan.h"
 #include "src/hw/engine.h"
 
 namespace refloat::hw {

@@ -8,7 +8,8 @@ namespace refloat::serve {
 std::string batch_key(const SolveRequest& request) {
   switch (request.backend) {
     case core::BackendKind::kValue:
-      return request.matrix;  // the pre-backend key, byte-for-byte
+    case core::BackendKind::kReference:  // never parsed from a request
+      return request.matrix;
     case core::BackendKind::kNoisy: {
       // Round-trippable sigma so two distinct deviations never collide.
       char sigma[40];

@@ -40,7 +40,7 @@ struct PendingRequest {
 };
 
 // The batching/residency identity of a request: the matrix name for
-// value-faithful solves (the pre-backend key, unchanged), extended with a
+// value-faithful solves, extended with a
 // "#noisy@<sigma>" / "#bittrue" suffix otherwise. Requests with equal keys
 // may share a batch and a ResidencyCache entry; requests with different
 // keys never do — a noisy batch must not reuse a value backend, and two

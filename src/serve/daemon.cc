@@ -69,6 +69,7 @@ double abft_tolerance(core::BackendKind kind, double sigma) {
     case core::BackendKind::kValue: return 1e-6;
     case core::BackendKind::kNoisy: return std::max(1e-6, 32.0 * sigma);
     case core::BackendKind::kBitTrue: return 1e-3;
+    case core::BackendKind::kReference: break;  // never served
   }
   return 1e-6;
 }
@@ -343,6 +344,8 @@ void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
         built->backend = std::move(bt);
         break;
       }
+      case core::BackendKind::kReference:  // never parsed from a request
+        throw std::runtime_error("reference backends are not served");
     }
     if (abft_on) {
       built->abft =

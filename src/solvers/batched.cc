@@ -9,15 +9,6 @@
 
 namespace refloat::solve {
 
-void SequentialMultiOperator::apply_multi(std::span<const double> x,
-                                          std::size_t k,
-                                          std::span<double> y) {
-  const std::size_t n = static_cast<std::size_t>(op_.dim());
-  for (std::size_t j = 0; j < k; ++j) {
-    op_.apply(x.subspan(j * n, n), y.subspan(j * n, n));
-  }
-}
-
 BackendMultiOperator::BackendMultiOperator(core::SweepBackend& backend,
                                            std::size_t k, std::uint64_t seed)
     : backend_(backend), counters_(k, 0) {

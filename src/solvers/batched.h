@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/refloat_matrix.h"
 #include "src/core/sweep_backend.h"
 #include "src/solvers/solver.h"
 
@@ -29,8 +28,9 @@ namespace refloat::solve {
 
 // A Y = A X oracle over k column-major vectors (x.size() == k * dim()).
 // Implementations decide whether columns share work; the lockstep drivers
-// only require column-wise bit-identity with the corresponding
-// single-vector operator.
+// only require column-wise bit-identity with a solo apply of that column.
+// BackendMultiOperator below is the implementation for every
+// core::SweepBackend; subclasses decorate it (e.g. to time each sweep).
 class MultiOperator {
  public:
   virtual ~MultiOperator() = default;
@@ -60,56 +60,19 @@ class MultiOperator {
   }
 };
 
-// Baseline adapter: applies a single-vector operator column by column
-// (no batching win — the reference the batched paths are tested against).
-class SequentialMultiOperator final : public MultiOperator {
- public:
-  explicit SequentialMultiOperator(LinearOperator& op) : op_(op) {}
-  void apply_multi(std::span<const double> x, std::size_t k,
-                   std::span<double> y) override;
-  [[nodiscard]] sparse::Index dim() const override { return op_.dim(); }
-  [[nodiscard]] std::string label() const override {
-    return op_.label() + "+seq";
-  }
-
- private:
-  LinearOperator& op_;
-};
-
-// Batched ReFloat SpMM over the SpmvPlan arena: every block visited once
-// per batch (RefloatMatrix::spmv_refloat_multi).
-class RefloatMultiOperator final : public MultiOperator {
- public:
-  explicit RefloatMultiOperator(const core::RefloatMatrix& rf) : rf_(rf) {}
-  void apply_multi(std::span<const double> x, std::size_t k,
-                   std::span<double> y) override {
-    rf_.spmv_refloat_multi(x, k, y, scratch_);
-  }
-  [[nodiscard]] sparse::Index dim() const override {
-    return rf_.quantized().rows();
-  }
-  [[nodiscard]] std::string label() const override {
-    return "refloat+batched";
-  }
-
- private:
-  const core::RefloatMatrix& rf_;
-  core::MultiSpmvScratch scratch_;
-};
-
-// Routes the lockstep drivers through any core::SweepBackend — the one
-// adapter that batches all three execution views (value / noisy /
-// bit-true). For stochastic backends it maintains each column's solo
-// stream identity: column j keeps its own seed and a private application
-// counter that advances only when the column participates in an apply —
-// exactly the (seed, sequence++) stream the column's solo operator would
-// consume — so every column of a batched noisy or bit-true solve is
-// bit-identical to its solo solve, through dropout, restarts, and early
-// exits. The backend is borrowed; one operator instance per solve.
+// Routes the lockstep drivers through any core::SweepBackend. For
+// stochastic backends it maintains each column's solo stream identity:
+// column j keeps its own seed and a private application counter that
+// advances only when the column participates in an apply — exactly the
+// (seed, sequence++) stream a solo solve of the column would consume — so
+// every column of a batched noisy or bit-true solve is bit-identical to
+// its solo solve, through dropout, restarts, and early exits. The backend
+// is borrowed; one operator instance per solve.
 class BackendMultiOperator final : public MultiOperator {
  public:
   // Capacity `k` columns; stochastic identities fork `seed` per column
-  // (column 0 keeps it verbatim, matching the single-RHS operators).
+  // (column 0 keeps it verbatim, matching a default-context noisy
+  // backend built with the same seed).
   BackendMultiOperator(core::SweepBackend& backend, std::size_t k,
                        std::uint64_t seed = 0x5eedULL);
   // Explicit per-column seeds (e.g. the serving layer passing each
@@ -177,8 +140,9 @@ struct BatchedSolveResult {
 };
 
 // Lockstep CG on k right-hand sides. `b` holds k column-major vectors of
-// op.dim() entries each. Column j's result is bit-identical to
-// cg(op_single, column j, options).
+// op.dim() entries each. Column j's result is bit-identical to the serial
+// cg(backend, column j, options) on a backend that draws column j's
+// stream identity.
 //
 // `tolerances` (empty, or exactly k entries) overrides options.tolerance
 // per column — the serving layer batches same-matrix requests that arrive

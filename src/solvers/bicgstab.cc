@@ -7,7 +7,7 @@
 
 namespace refloat::solve {
 
-SolveResult bicgstab(LinearOperator& op, std::span<const double> b,
+SolveResult bicgstab(core::SweepBackend& op, std::span<const double> b,
                      const SolveOptions& options) {
   const std::size_t n = b.size();
   SolveResult result;
@@ -44,7 +44,7 @@ SolveResult bicgstab(LinearOperator& op, std::span<const double> b,
     if (rnorm > kRestartGrowth * best_since_restart &&
         restarts < kMaxRestarts) {
       ++restarts;
-      op.apply(result.solution, t);
+      op.sweep(result.solution, 1, t, {});
       sparse::sub(b, t, r);
       r_shadow = r;
       std::fill(p.begin(), p.end(), 0.0);
@@ -63,7 +63,7 @@ SolveResult bicgstab(LinearOperator& op, std::span<const double> b,
     for (std::size_t i = 0; i < n; ++i) {
       p[i] = r[i] + beta * (p[i] - omega * v[i]);
     }
-    op.apply(p, v);
+    op.sweep(p, 1, v, {});
     const double rhat_v = sparse::dot(r_shadow, v);
     if (!std::isfinite(rhat_v) || rhat_v == 0.0) {
       result.status = SolveStatus::kBreakdown;
@@ -80,7 +80,7 @@ SolveResult bicgstab(LinearOperator& op, std::span<const double> b,
       result.status = SolveStatus::kConverged;
       break;
     }
-    op.apply(s, t);
+    op.sweep(s, 1, t, {});
     const double t_t = sparse::dot(t, t);
     if (!std::isfinite(t_t) || t_t == 0.0) {
       result.status = SolveStatus::kBreakdown;

@@ -7,7 +7,7 @@
 
 namespace refloat::solve {
 
-SolveResult cg(LinearOperator& op, std::span<const double> b,
+SolveResult cg(core::SweepBackend& op, std::span<const double> b,
                const SolveOptions& options) {
   const std::size_t n = b.size();
   SolveResult result;
@@ -28,7 +28,7 @@ SolveResult cg(LinearOperator& op, std::span<const double> b,
       break;
     }
     ++k;
-    op.apply(p, ap);
+    op.sweep(p, 1, ap, {});
     const double p_ap = sparse::dot(p, ap);
     if (!std::isfinite(p_ap) || p_ap == 0.0) {
       result.status = SolveStatus::kBreakdown;

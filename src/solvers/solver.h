@@ -1,29 +1,17 @@
-// Common solver vocabulary: the operator interface the iterative methods run
-// against, solve options/results, and right-hand-side construction.
+// Common solver vocabulary: solve options/results and right-hand-side
+// construction. The iterative methods run against core::SweepBackend.
 //
 // Residual convention: right-hand sides are normalized (||b|| = b_norm, 1.0
 // by default), and all residual thresholds are absolute L2 norms — identical
 // to relative residuals at ||b|| = 1, which is the paper's tau = 1e-8 setup.
 #pragma once
 
-#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "src/sparse/csr.h"
 
 namespace refloat::solve {
-
-// A y = A x oracle. Implementations decide the arithmetic (exact double,
-// refloat-quantized, bit-true crossbars, ...).
-class LinearOperator {
- public:
-  virtual ~LinearOperator() = default;
-  virtual void apply(std::span<const double> x, std::span<double> y) = 0;
-  [[nodiscard]] virtual sparse::Index dim() const = 0;
-  [[nodiscard]] virtual std::string label() const = 0;
-};
 
 enum class SolveStatus {
   kConverged,

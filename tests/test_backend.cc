@@ -1,10 +1,10 @@
 // The SweepBackend contract (docs/ARCHITECTURE.md "Execution backends"):
-// k = 1 through any backend is bit-identical to the pre-backend single-RHS
-// entry points, and column j of a k-RHS sweep or solve is bit-identical to
-// a solo run of that column — at any thread count, any tile split, and
-// through converged-column dropout. These are the pins that let the
-// solvers and the serving layer treat value / noisy / bit-true as one
-// interface.
+// a default-context sweep equals the explicit context it stands for, the
+// bit-true k = 1 sweep equals HwSpmv::apply with a caller-owned Rng, and
+// column j of a k-RHS sweep or solve is bit-identical to a solo run of
+// that column — at any thread count, any tile split, and through
+// converged-column dropout. These are the pins that let the solvers and
+// the serving layer treat value / noisy / bit-true as one interface.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -17,7 +17,6 @@
 #include "src/hw/hw_spmv.h"
 #include "src/solvers/batched.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
@@ -55,31 +54,38 @@ TEST(SweepBackend, KindNamesRoundTrip) {
   EXPECT_EQ(unchanged, core::BackendKind::kNoisy);
 }
 
-TEST(SweepBackend, ValueK1BitIdenticalToSpmvRefloat) {
+TEST(SweepBackend, ValueK1MatchesTiledAndBatchedColumn) {
+  // The k = 1 sweep (single-RHS kernels, no interleave) must equal the
+  // tile-sharded sweep and column 1 of a k = 3 interleaved sweep.
   util::ThreadPool::set_global_threads(2);
   const sparse::Csr a = test_matrix();
   const core::RefloatMatrix rf(a, test_format());
   const std::size_t n = static_cast<std::size_t>(a.rows());
   const std::vector<double> x = test_vector(n, 7);
 
-  std::vector<double> want(n), scratch;
-  rf.spmv_refloat(x, want, scratch);
+  auto untiled = core::make_value_backend(rf);
+  EXPECT_EQ(untiled->kind(), core::BackendKind::kValue);
+  std::vector<double> want(n);
+  untiled->sweep(x, 1, want, {});
 
+  std::vector<double> x3(3 * n, 0.5);
+  std::copy(x.begin(), x.end(), x3.begin() + static_cast<long>(n));
   for (int tiles : {1, 4}) {
     auto backend = core::make_value_backend(rf, tiles);
-    EXPECT_EQ(backend->kind(), core::BackendKind::kValue);
-    std::vector<double> got(n);
+    std::vector<double> got(n), got3(3 * n);
     backend->sweep(x, 1, got, {});
+    backend->sweep(x3, 3, got3, {});
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "tiles " << tiles << " row " << i;
+      ASSERT_EQ(got3[n + i], want[i]) << "tiles " << tiles << " row " << i;
     }
   }
 }
 
-TEST(SweepBackend, NoisyK1ReproducesLegacyNoisyStream) {
+TEST(SweepBackend, NoisyDefaultContextIsExplicitSeedSequence) {
   // With an empty context, sweep number s must draw exactly the streams of
-  // spmv_refloat_noisy(seed, sequence = s) — the NoisyRefloatOperator
-  // semantics every Fig. 10 run was recorded under.
+  // the explicit context {seeds = {seed}, sequences = {s}} — the stream a
+  // serial solve consumes, and the one BackendMultiOperator hands column 0.
   util::ThreadPool::set_global_threads(2);
   const sparse::Csr a = test_matrix();
   const core::RefloatMatrix rf(a, test_format());
@@ -88,11 +94,15 @@ TEST(SweepBackend, NoisyK1ReproducesLegacyNoisyStream) {
   const std::uint64_t seed = 99;
   const std::vector<double> x = test_vector(n, 8);
 
-  auto backend = core::make_noisy_backend(rf, sigma, seed);
-  std::vector<double> got(n), want(n), scratch;
+  auto implicit = core::make_noisy_backend(rf, sigma, seed);
+  auto explicit_ctx = core::make_noisy_backend(rf, sigma, /*seed=*/0);
+  std::vector<double> got(n), want(n);
   for (std::uint64_t sequence = 0; sequence < 3; ++sequence) {
-    backend->sweep(x, 1, got, {});
-    rf.spmv_refloat_noisy(x, want, scratch, sigma, seed, sequence);
+    implicit->sweep(x, 1, got, {});
+    const std::uint64_t seeds[] = {seed};
+    const std::uint64_t sequences[] = {sequence};
+    explicit_ctx->sweep(x, 1, want,
+                        {.seeds = seeds, .sequences = sequences});
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "sequence " << sequence << " row " << i;
     }
@@ -111,16 +121,15 @@ TEST(SweepBackend, BitTrueK1BitIdenticalToHwApply) {
   config.noise.sigma = 1e-2;
   const std::uint64_t seed = 0x515;
 
-  // The legacy caller pattern: one Rng owned by the caller, advanced once
-  // per apply.
-  hw::HwSpmv legacy(rf, config);
-  util::Rng legacy_rng(seed);
+  // One Rng owned by the caller, advanced once per apply.
+  hw::HwSpmv direct(rf, config);
+  util::Rng direct_rng(seed);
   std::vector<double> want(n);
 
   auto backend = hw::make_bit_true_backend(rf, config, seed);
   std::vector<double> got(n);
   for (int sweep = 0; sweep < 3; ++sweep) {
-    legacy.apply(x, want, legacy_rng);
+    direct.apply(x, want, direct_rng);
     backend->sweep(x, 1, got, {});
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(got[i], want[i]) << "sweep " << sweep << " row " << i;
@@ -153,9 +162,9 @@ TEST(SweepBackend, BatchedNoisySolveMatchesSoloAtAnyThreadsAndTiles) {
   for (std::size_t j = 0; j < k; ++j) {
     const std::uint64_t seed_j =
         j == 0 ? seed : util::stream_seed(seed, j, core::kColumnForkSalt);
-    solve::NoisyRefloatOperator op(rf, sigma, seed_j, /*tiles=*/1);
+    auto op = core::make_noisy_backend(rf, sigma, seed_j, /*tiles=*/1);
     solo.push_back(
-        solve::cg(op, std::span<const double>(b).subspan(j * n, n), opts));
+        solve::cg(*op, std::span<const double>(b).subspan(j * n, n), opts));
   }
   ASSERT_NE(solo[0].iterations, solo[1].iterations);
 

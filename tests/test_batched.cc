@@ -12,7 +12,7 @@
 #include "src/solvers/batched.h"
 #include "src/solvers/bicgstab.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/reference_backend.h"
 #include "src/util/thread_pool.h"
 
 namespace refloat::solve {
@@ -65,16 +65,16 @@ TEST(BatchedSolve, CgMultiBitIdenticalToSequentialCg) {
   opts.tolerance = 1e-8;
   opts.max_iterations = 2000;
 
+  const auto backend = core::make_value_backend(rf);
   std::vector<SolveResult> serial;
   for (std::size_t c = 0; c < k; ++c) {
-    RefloatOperator op(rf);
     serial.push_back(
-        cg(op, std::span<const double>(b).subspan(c * n, n), opts));
+        cg(*backend, std::span<const double>(b).subspan(c * n, n), opts));
   }
   // Columns must genuinely differ, or the lockstep dropout path is untested.
   EXPECT_NE(serial[0].iterations, serial[2].iterations);
 
-  RefloatMultiOperator multi(rf);
+  BackendMultiOperator multi(*backend, k);
   const BatchedSolveResult batch = cg_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
 
@@ -99,23 +99,23 @@ TEST(BatchedSolve, BicgstabMultiBitIdenticalToSequentialBicgstab) {
   opts.tolerance = 1e-8;
   opts.max_iterations = 2000;
 
+  const auto backend = core::make_value_backend(rf);
   std::vector<SolveResult> serial;
   for (std::size_t c = 0; c < k; ++c) {
-    RefloatOperator op(rf);
-    serial.push_back(
-        bicgstab(op, std::span<const double>(b).subspan(c * n, n), opts));
+    serial.push_back(bicgstab(
+        *backend, std::span<const double>(b).subspan(c * n, n), opts));
   }
 
-  RefloatMultiOperator multi(rf);
+  BackendMultiOperator multi(*backend, k);
   const BatchedSolveResult batch = bicgstab_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
   EXPECT_LT(batch.batched_applies, batch.column_applies);
 }
 
-TEST(BatchedSolve, SequentialMultiOperatorMatchesTooAndHandlesMaxIterations) {
-  // The baseline adapter (per-column applies through any LinearOperator)
-  // must satisfy the same contract — here on the exact double platform with
-  // a budget small enough that every column stops at max-iterations.
+TEST(BatchedSolve, ReferenceBackendMatchesTooAndHandlesMaxIterations) {
+  // The plain-CSR reference backend (per-column applies) must satisfy the
+  // same contract — here on the exact double platform with a budget small
+  // enough that every column stops at max-iterations.
   util::ThreadPool::set_global_threads(1);
   const sparse::Csr a = test_matrix();
   const std::size_t n = static_cast<std::size_t>(a.rows());
@@ -126,16 +126,15 @@ TEST(BatchedSolve, SequentialMultiOperatorMatchesTooAndHandlesMaxIterations) {
   opts.tolerance = 1e-8;
   opts.max_iterations = 7;
 
+  ReferenceBackend op(a);
   std::vector<SolveResult> serial;
   for (std::size_t c = 0; c < k; ++c) {
-    CsrOperator op(a);
     serial.push_back(
         cg(op, std::span<const double>(b).subspan(c * n, n), opts));
   }
   ASSERT_EQ(serial[0].status, SolveStatus::kMaxIterations);
 
-  CsrOperator op(a);
-  SequentialMultiOperator multi(op);
+  BackendMultiOperator multi(op, k);
   const BatchedSolveResult batch = cg_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
   EXPECT_FALSE(batch.all_converged());

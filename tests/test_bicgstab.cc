@@ -5,7 +5,7 @@
 #include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/reference_backend.h"
 
 namespace refloat::solve {
 namespace {
@@ -13,7 +13,7 @@ namespace {
 TEST(Bicgstab, ConvergesOnSpdLaplace) {
   const sparse::Csr a = gen::build_stencil(gen::laplace2d_5pt(16, 16));
   const std::vector<double> b = make_rhs(a);
-  CsrOperator op(a);
+  ReferenceBackend op(a);
   SolveOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 2000;
@@ -33,8 +33,8 @@ TEST(Bicgstab, FewerIterationsThanCgPerIterationCount) {
   SolveOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 4000;
-  CsrOperator op_cg(a);
-  CsrOperator op_bi(a);
+  ReferenceBackend op_cg(a);
+  ReferenceBackend op_bi(a);
   const SolveResult r_cg = cg(op_cg, b, opts);
   const SolveResult r_bi = bicgstab(op_bi, b, opts);
   ASSERT_EQ(r_cg.status, SolveStatus::kConverged);
@@ -42,17 +42,17 @@ TEST(Bicgstab, FewerIterationsThanCgPerIterationCount) {
   EXPECT_LT(r_bi.iterations, r_cg.iterations);
 }
 
-TEST(Bicgstab, RefloatOperatorConverges) {
+TEST(Bicgstab, RefloatBackendConverges) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(24, 24)).shifted(0.05);
   const std::vector<double> b = make_rhs(a);
   const core::RefloatMatrix rf(a, core::default_format());
-  RefloatOperator op(rf);
+  const auto op = core::make_value_backend(rf, core::default_tile_count());
   SolveOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 5000;
   opts.stall_window = 1000;
-  const SolveResult result = bicgstab(op, b, opts);
+  const SolveResult result = bicgstab(*op, b, opts);
   EXPECT_EQ(result.status, SolveStatus::kConverged);
 }
 

@@ -4,7 +4,7 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/reference_backend.h"
 #include "src/sparse/vector_ops.h"
 
 namespace refloat::solve {
@@ -14,7 +14,7 @@ TEST(Cg, ConvergesOnSpdLaplaceToTau) {
   // The ISSUE's acceptance case: CG on a small SPD Laplace matrix to 1e-8.
   const sparse::Csr a = gen::build_stencil(gen::laplace2d_5pt(16, 16));
   const std::vector<double> b = make_rhs(a);
-  CsrOperator op(a);
+  ReferenceBackend op(a);
   SolveOptions opts;
   opts.tolerance = 1e-8;
   opts.max_iterations = 2000;
@@ -32,7 +32,7 @@ TEST(Cg, ConvergesOnSpdLaplaceToTau) {
 TEST(Cg, TraceIsMonotoneAtTheTail) {
   const sparse::Csr a = gen::build_stencil(gen::laplace2d_5pt(12, 12));
   const std::vector<double> b = make_rhs(a);
-  CsrOperator op(a);
+  ReferenceBackend op(a);
   SolveOptions opts;
   opts.tolerance = 1e-10;
   opts.max_iterations = 2000;
@@ -46,7 +46,7 @@ TEST(Cg, TinyRhsConvergesAtFirstResidualCheck) {
   // The gridgena behaviour: ||b|| below tau -> 1 iteration everywhere.
   const sparse::Csr a = gen::build_stencil(gen::laplace2d_5pt(8, 8));
   const std::vector<double> b = make_rhs(a, 5e-9);
-  CsrOperator op(a);
+  ReferenceBackend op(a);
   SolveOptions opts;
   opts.tolerance = 1e-8;
   const SolveResult result = cg(op, b, opts);
@@ -54,7 +54,7 @@ TEST(Cg, TinyRhsConvergesAtFirstResidualCheck) {
   EXPECT_EQ(result.iterations, 1);
 }
 
-TEST(Cg, RefloatOperatorConvergesWithExtraIterations) {
+TEST(Cg, RefloatBackendConvergesWithExtraIterations) {
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(24, 24)).shifted(0.05);
   const std::vector<double> b = make_rhs(a);
@@ -63,13 +63,14 @@ TEST(Cg, RefloatOperatorConvergesWithExtraIterations) {
   opts.max_iterations = 5000;
   opts.stall_window = 800;
 
-  CsrOperator exact(a);
+  ReferenceBackend exact(a);
   const SolveResult exact_result = cg(exact, b, opts);
   ASSERT_EQ(exact_result.status, SolveStatus::kConverged);
 
   const core::RefloatMatrix rf(a, core::default_format());
-  RefloatOperator quantized(rf);
-  const SolveResult rf_result = cg(quantized, b, opts);
+  const auto quantized =
+      core::make_value_backend(rf, core::default_tile_count());
+  const SolveResult rf_result = cg(*quantized, b, opts);
   EXPECT_EQ(rf_result.status, SolveStatus::kConverged);
   // Table VI shape: refloat converges, usually paying some extra iterations.
   EXPECT_GE(rf_result.iterations, exact_result.iterations);
@@ -79,15 +80,24 @@ TEST(Cg, RefloatOperatorConvergesWithExtraIterations) {
 TEST(Cg, StallDetectionFires) {
   // An operator that injects a fixed error floor: the residual cannot pass
   // it, so the stall window must trigger.
-  class FloorOperator final : public LinearOperator {
+  class FloorOperator final : public core::SweepBackend {
    public:
     explicit FloorOperator(const sparse::Csr& a) : a_(a) {}
-    void apply(std::span<const double> x, std::span<double> y) override {
+    [[nodiscard]] std::size_t rows() const override {
+      return static_cast<std::size_t>(a_.rows());
+    }
+    [[nodiscard]] std::size_t cols() const override { return rows(); }
+    [[nodiscard]] core::BackendKind kind() const override {
+      return core::BackendKind::kReference;
+    }
+    [[nodiscard]] const char* label() const override { return "floor"; }
+    void sweep(std::span<const double> x, std::size_t k, std::span<double> y,
+               const core::SweepContext& ctx) override {
+      (void)k;
+      (void)ctx;
       a_.spmv(x, y);
       y[0] += 1e-4;  // constant inconsistency
     }
-    [[nodiscard]] sparse::Index dim() const override { return a_.rows(); }
-    [[nodiscard]] std::string label() const override { return "floor"; }
 
    private:
     const sparse::Csr& a_;

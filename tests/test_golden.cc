@@ -37,7 +37,7 @@
 #include "src/solvers/batched.h"
 #include "src/solvers/bicgstab.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
+#include "src/solvers/reference_backend.h"
 
 namespace refloat {
 namespace {
@@ -93,28 +93,8 @@ std::uint64_t fnv1a(const std::vector<double>& v) {
   return h;
 }
 
-// k = 1 default-context adapter, for the bit-true view that has no
-// dedicated LinearOperator.
-class BackendOperator final : public solve::LinearOperator {
- public:
-  explicit BackendOperator(std::unique_ptr<core::SweepBackend> backend)
-      : backend_(std::move(backend)) {}
-  void apply(std::span<const double> x, std::span<double> y) override {
-    backend_->sweep(x, 1, y, {});
-  }
-  [[nodiscard]] sparse::Index dim() const override {
-    return static_cast<sparse::Index>(backend_->rows());
-  }
-  [[nodiscard]] std::string label() const override {
-    return backend_->label();
-  }
-
- private:
-  std::unique_ptr<core::SweepBackend> backend_;
-};
-
-// One platform of one matrix: a fresh serial operator and a fresh lockstep
-// operator per run (stochastic views count their applies).
+// One platform of one matrix: a fresh backend per run (stochastic views
+// count their sweeps), driven serially or through the lockstep adapter.
 class Platform {
  public:
   Platform(const std::string& matrix, const std::string& name)
@@ -124,47 +104,42 @@ class Platform {
 
   [[nodiscard]] const sparse::Csr& a() const { return a_; }
 
-  std::unique_ptr<solve::LinearOperator> serial() {
-    if (name_ == "double") return std::make_unique<solve::CsrOperator>(a_);
-    if (name_ == "refloat") {
-      return std::make_unique<solve::RefloatOperator>(rf_);
-    }
-    if (name_ == "feinberg") {
-      return std::make_unique<solve::FeinbergOperator>(a_);
-    }
-    if (name_ == "truncated") {
-      return std::make_unique<solve::TruncatedOperator>(
-          a_, solve::TruncateSpec{.exp_bits = 8, .frac_bits = 12});
-    }
-    if (name_ == "noisy") {
-      return std::make_unique<solve::NoisyRefloatOperator>(rf_, kNoiseSigma,
-                                                           kNoiseSeed);
-    }
-    return std::make_unique<BackendOperator>(
-        hw::make_bit_true_backend(rf_, config_));
+  core::SweepBackend& serial() {
+    backend_ = make_backend();
+    return *backend_;
   }
 
   std::unique_ptr<solve::MultiOperator> multi(std::size_t k) {
-    if (name_ == "refloat") {
-      backend_ = core::make_value_backend(rf_);
-    } else if (name_ == "noisy") {
-      backend_ = core::make_noisy_backend(rf_, kNoiseSigma, kNoiseSeed);
-    } else if (name_ == "bittrue") {
-      backend_ = hw::make_bit_true_backend(rf_, config_);
-    } else {
-      single_ = serial();
-      return std::make_unique<solve::SequentialMultiOperator>(*single_);
-    }
+    backend_ = make_backend();
     return std::make_unique<solve::BackendMultiOperator>(*backend_, k,
                                                          kNoiseSeed);
   }
 
  private:
+  std::unique_ptr<core::SweepBackend> make_backend() const {
+    const int tiles = core::default_tile_count();
+    if (name_ == "double") {
+      return std::make_unique<solve::ReferenceBackend>(a_);
+    }
+    if (name_ == "refloat") return core::make_value_backend(rf_, tiles);
+    if (name_ == "feinberg") {
+      return std::make_unique<solve::ReferenceBackend>(
+          a_, solve::ReferenceArithmetic::kFeinberg);
+    }
+    if (name_ == "truncated") {
+      return std::make_unique<solve::ReferenceBackend>(
+          a_, solve::TruncateSpec{.exp_bits = 8, .frac_bits = 12});
+    }
+    if (name_ == "noisy") {
+      return core::make_noisy_backend(rf_, kNoiseSigma, kNoiseSeed, tiles);
+    }
+    return hw::make_bit_true_backend(rf_, config_);
+  }
+
   std::string name_;
   sparse::Csr a_;
   core::RefloatMatrix rf_;
   hw::ClusterConfig config_;
-  std::unique_ptr<solve::LinearOperator> single_;
   std::unique_ptr<core::SweepBackend> backend_;
 };
 
@@ -193,10 +168,10 @@ TEST(GoldenTrajectories, SerialSolvers) {
   for (const GoldenRow& row : kGolden) {
     Platform platform(row.matrix, row.platform);
     const std::vector<double> b = solve::make_rhs(platform.a());
-    const auto op = platform.serial();
+    core::SweepBackend& op = platform.serial();
     const solve::SolveResult got =
-        is_cg(row) ? solve::cg(*op, b, golden_options())
-                   : solve::bicgstab(*op, b, golden_options());
+        is_cg(row) ? solve::cg(op, b, golden_options())
+                   : solve::bicgstab(op, b, golden_options());
     expect_row(row, got, "serial");
   }
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/engine.h"
 #include "src/hw/hw_spmv.h"
@@ -91,8 +92,7 @@ TEST(ProcessingEngine, MatchesRefloatQuantizedProduct) {
   engine.apply(x, y_hw, nullptr, rng);
 
   std::vector<double> y_ref(16, 0.0);
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, y_ref, scratch);
+  core::make_value_backend(rf)->sweep(x, 1, y_ref, {});
   for (int i = 0; i < 16; ++i) {
     EXPECT_NEAR(y_hw[static_cast<std::size_t>(i)],
                 y_ref[static_cast<std::size_t>(i)], 1e-12)
@@ -113,8 +113,7 @@ TEST(HwSpmv, MatchesRefloatSpmvAcrossBlocks) {
   std::vector<double> y_hw(x.size());
   spmv.apply(x, y_hw, rng);
   std::vector<double> y_ref(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, y_ref, scratch);
+  core::make_value_backend(rf)->sweep(x, 1, y_ref, {});
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(y_hw[i], y_ref[i], 1e-12);
   }

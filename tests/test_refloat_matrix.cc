@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/util/random.h"
 
@@ -90,8 +91,7 @@ TEST(RefloatMatrix, SpmvRefloatMatchesQuantizedCsr) {
   std::vector<double> reference(x.size());
   rf.quantized().spmv(xq, reference);
   std::vector<double> y(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, y, scratch);
+  core::make_value_backend(rf)->sweep(x, 1, y, {});
   for (std::size_t i = 0; i < y.size(); ++i) {
     EXPECT_NEAR(y[i], reference[i], 1e-12);
   }

@@ -21,7 +21,6 @@
 #include "src/solvers/batched.h"
 #include "src/solvers/bicgstab.h"
 #include "src/solvers/cg.h"
-#include "src/solvers/operator.h"
 #include "src/util/fault_injector.h"
 
 namespace refloat::serve {
@@ -84,11 +83,11 @@ std::vector<double> batch_column(const std::vector<double>& b, std::size_t n,
 solve::SolveResult solo_cg(std::span<const double> b, double tolerance) {
   const sparse::Csr a = test_csr();
   const core::RefloatMatrix rf(a, test_format());
-  solve::RefloatOperator op(rf);
+  const auto op = core::make_value_backend(rf, core::default_tile_count());
   solve::SolveOptions options;
   options.tolerance = tolerance;
   options.record_trace = false;
-  return solve::cg(op, b, options);
+  return solve::cg(*op, b, options);
 }
 
 TEST(Serve, BatchedBitIdenticalToSolo) {
@@ -365,12 +364,13 @@ TEST(Serve, BackendsBatchSeparatelyAndNoisyMatchesSolo) {
   EXPECT_EQ(stats.cache.resident_count, 2u);  // one entry per backend key
 
   const core::RefloatMatrix rf(a, test_format());
-  solve::NoisyRefloatOperator op(rf, sigma, noise_seed);
+  const auto op = core::make_noisy_backend(rf, sigma, noise_seed,
+                                           core::default_tile_count());
   solve::SolveOptions options;
   options.tolerance = 1e-8;
   options.record_trace = false;
   const solve::SolveResult want =
-      solve::cg(op, batch_column(b, n, 1), options);
+      solve::cg(*op, batch_column(b, n, 1), options);
   EXPECT_EQ(noisy_response.iterations, want.iterations);
   EXPECT_EQ(noisy_response.final_residual, want.final_residual);
   ASSERT_EQ(noisy_response.solution.size(), want.solution.size());

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
@@ -176,8 +177,7 @@ TEST(SpmvPlan, SpmvBitIdenticalToLegacyPathAcrossThreadCounts) {
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool::set_global_threads(threads);
     std::vector<double> y(x.size());
-    std::vector<double> scratch;
-    rf.spmv_refloat(x, y, scratch);
+    core::make_value_backend(rf)->sweep(x, 1, y, {});
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(y[i], reference[i])
           << "row " << i << " at " << threads << " threads";
@@ -197,18 +197,16 @@ TEST(SpmvPlan, SpmmBitIdenticalToSequentialSpmvsAcrossThreadCounts) {
     // Reference: k sequential single-RHS SpMVs, serial.
     util::ThreadPool::set_global_threads(1);
     std::vector<double> reference(n * k);
-    std::vector<double> scratch;
     for (std::size_t j = 0; j < k; ++j) {
       std::vector<double> y(n);
-      rf.spmv_refloat(std::span<const double>(x).subspan(j * n, n), y,
-                      scratch);
+      core::make_value_backend(rf)->sweep(
+          std::span<const double>(x).subspan(j * n, n), 1, y, {});
       std::copy(y.begin(), y.end(), reference.begin() + j * n);
     }
     for (const int threads : {1, 2, 8}) {
       util::ThreadPool::set_global_threads(threads);
       std::vector<double> y(n * k);
-      core::MultiSpmvScratch multi_scratch;
-      rf.spmv_refloat_multi(x, k, y, multi_scratch);
+      core::make_value_backend(rf)->sweep(x, k, y, {});
       for (std::size_t i = 0; i < y.size(); ++i) {
         ASSERT_EQ(y[i], reference[i]) << "slot " << i << " at " << threads
                                       << " threads, k=" << k;
@@ -248,8 +246,7 @@ TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
   for (const int threads : {1, 2, 8}) {
     util::ThreadPool::set_global_threads(threads);
     std::vector<double> y(64);
-    std::vector<double> scratch;
-    rf.spmv_refloat(x, y, scratch);
+    core::make_value_backend(rf)->sweep(x, 1, y, {});
     for (std::size_t i = 0; i < y.size(); ++i) {
       ASSERT_EQ(y[i], reference[i]) << "row " << i;
     }
@@ -258,12 +255,11 @@ TEST(SpmvPlan, EmptyBlockRowIsAnEmptyRangeNotAMissingOne) {
     const std::size_t k = 3;
     const std::vector<double> xs = random_vector(64 * k, 501);
     std::vector<double> ys(64 * k);
-    core::MultiSpmvScratch multi_scratch;
-    rf.spmv_refloat_multi(xs, k, ys, multi_scratch);
+    core::make_value_backend(rf)->sweep(xs, k, ys, {});
     std::vector<double> ycol(64);
     for (std::size_t j = 0; j < k; ++j) {
-      rf.spmv_refloat(std::span<const double>(xs).subspan(j * 64, 64), ycol,
-                      scratch);
+      core::make_value_backend(rf)->sweep(
+          std::span<const double>(xs).subspan(j * 64, 64), 1, ycol, {});
       for (std::size_t i = 0; i < 64; ++i) {
         ASSERT_EQ(ys[j * 64 + i], ycol[i]) << "col " << j << " row " << i;
       }
@@ -281,13 +277,11 @@ TEST(SpmvPlan, ScalarFormatHasNoBlocksButSpmmStillWorks) {
   const std::size_t k = 2;
   const std::vector<double> x = random_vector(n * k, 600);
   std::vector<double> y(n * k);
-  core::MultiSpmvScratch multi_scratch;
-  rf.spmv_refloat_multi(x, k, y, multi_scratch);
-  std::vector<double> scratch;
+  core::make_value_backend(rf)->sweep(x, k, y, {});
   std::vector<double> ycol(n);
   for (std::size_t j = 0; j < k; ++j) {
-    rf.spmv_refloat(std::span<const double>(x).subspan(j * n, n), ycol,
-                    scratch);
+    core::make_value_backend(rf)->sweep(
+        std::span<const double>(x).subspan(j * n, n), 1, ycol, {});
     for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(y[j * n + i], ycol[i]);
     }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
+#include "src/core/sweep_backend.h"
 #include "src/gen/grid.h"
 #include "src/hw/hw_spmv.h"
 #include "src/util/random.h"
@@ -23,6 +24,16 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   std::vector<double> x(n);
   for (double& v : x) v = rng.gaussian();
   return x;
+}
+
+// One noisy sweep under the explicit stream identity (seed, sequence).
+void noisy_sweep(const core::RefloatMatrix& rf, const core::TiledPlan* tiled,
+                 std::span<const double> x, std::span<double> y, double sigma,
+                 std::uint64_t seed, std::uint64_t sequence) {
+  const std::uint64_t seeds[] = {seed};
+  const std::uint64_t sequences[] = {sequence};
+  core::make_noisy_backend(rf, sigma, seed, tiled)
+      ->sweep(x, 1, y, {.seeds = seeds, .sequences = sequences});
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -96,8 +107,7 @@ TEST(ThreadedSpmv, RefloatBitIdenticalAcrossThreadCounts) {
       random_vector(static_cast<std::size_t>(a.rows()), 101);
   expect_bit_identical_across_threads([&] {
     std::vector<double> y(x.size());
-    std::vector<double> scratch;
-    rf.spmv_refloat(x, y, scratch);
+    core::make_value_backend(rf)->sweep(x, 1, y, {});
     return y;
   });
 }
@@ -111,18 +121,16 @@ TEST(ThreadedSpmv, NoisyRefloatBitIdenticalAcrossThreadCounts) {
       random_vector(static_cast<std::size_t>(a.rows()), 102);
   expect_bit_identical_across_threads([&] {
     std::vector<double> y(x.size());
-    std::vector<double> scratch;
-    rf.spmv_refloat_noisy(x, y, scratch, /*sigma=*/0.05, /*seed=*/77,
-                          /*sequence=*/3);
+    noisy_sweep(rf, nullptr, x, y, /*sigma=*/0.05, /*seed=*/77,
+                /*sequence=*/3);
     return y;
   });
   // And the noise stream is genuinely counter-based: a different sequence
   // gives a different vector.
   std::vector<double> y3(x.size());
   std::vector<double> y4(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat_noisy(x, y3, scratch, 0.05, 77, 3);
-  rf.spmv_refloat_noisy(x, y4, scratch, 0.05, 77, 4);
+  noisy_sweep(rf, nullptr, x, y3, 0.05, 77, 3);
+  noisy_sweep(rf, nullptr, x, y4, 0.05, 77, 4);
   bool any_diff = false;
   for (std::size_t i = 0; i < y3.size(); ++i) {
     if (y3[i] != y4[i]) any_diff = true;

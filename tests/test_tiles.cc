@@ -14,6 +14,7 @@
 #include "src/arch/schedule.h"
 #include "src/arch/timing.h"
 #include "src/core/refloat_matrix.h"
+#include "src/core/sweep_backend.h"
 #include "src/core/tiled_plan.h"
 #include "src/gen/grid.h"
 #include "src/hw/hw_spmv.h"
@@ -31,6 +32,16 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   std::vector<double> x(n);
   for (double& v : x) v = rng.gaussian();
   return x;
+}
+
+// One noisy sweep under the explicit stream identity (seed, sequence).
+void noisy_sweep(const core::RefloatMatrix& rf, const core::TiledPlan* tiled,
+                 std::span<const double> x, std::span<double> y, double sigma,
+                 std::uint64_t seed, std::uint64_t sequence) {
+  const std::uint64_t seeds[] = {seed};
+  const std::uint64_t sequences[] = {sequence};
+  core::make_noisy_backend(rf, sigma, seed, tiled)
+      ->sweep(x, 1, y, {.seeds = seeds, .sequences = sequences});
 }
 
 // 20x10 grid -> 200 rows -> 13 block-rows at b=4: odd, so every tested
@@ -143,16 +154,14 @@ TEST(TiledSpmv, BitIdenticalToUntiledForEveryPartitionAndThreadCount) {
         random_vector(static_cast<std::size_t>(a.rows()), 201);
     util::ThreadPool::set_global_threads(1);
     std::vector<double> want(x.size());
-    std::vector<double> scratch;
-    rf.spmv_refloat(x, want, scratch);
+    core::make_value_backend(rf)->sweep(x, 1, want, {});
     for (const int tiles : {1, 2, 3, 7}) {
       const core::TiledPlan tiled =
           core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
       expect_bit_identical_across_threads(
           [&] {
             std::vector<double> y(x.size());
-            std::vector<double> s;
-            rf.spmv_refloat_tiled(tiled, x, y, s);
+            core::make_value_backend(rf, &tiled)->sweep(x, 1, y, {});
             return y;
           },
           want, "value path");
@@ -167,16 +176,14 @@ TEST(TiledSpmv, CapacityForcedUnevenSplitStaysBitIdentical) {
       random_vector(static_cast<std::size_t>(a.rows()), 202);
   util::ThreadPool::set_global_threads(1);
   std::vector<double> want(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat(x, want, scratch);
+  core::make_value_backend(rf)->sweep(x, 1, want, {});
   const core::TiledPlan tiled = core::TiledPlan::partition(
       rf.plan(), {.tiles = 2, .capacity_blocks = 3});
   ASSERT_GT(tiled.tile_count(), 2);
   expect_bit_identical_across_threads(
       [&] {
         std::vector<double> y(x.size());
-        std::vector<double> s;
-        rf.spmv_refloat_tiled(tiled, x, y, s);
+        core::make_value_backend(rf, &tiled)->sweep(x, 1, y, {});
         return y;
       },
       want, "capacity-forced split");
@@ -191,16 +198,14 @@ TEST(TiledSpmv, NoisyPathBitIdenticalToUntiled) {
       random_vector(static_cast<std::size_t>(a.rows()), 203);
   util::ThreadPool::set_global_threads(1);
   std::vector<double> want(x.size());
-  std::vector<double> scratch;
-  rf.spmv_refloat_noisy(x, want, scratch, 0.05, 77, 3);
+  noisy_sweep(rf, nullptr, x, want, 0.05, 77, 3);
   for (const int tiles : {1, 2, 3, 7}) {
     const core::TiledPlan tiled =
         core::TiledPlan::partition(rf.plan(), {.tiles = tiles});
     expect_bit_identical_across_threads(
         [&] {
           std::vector<double> y(x.size());
-          std::vector<double> s;
-          rf.spmv_refloat_noisy_tiled(tiled, x, y, s, 0.05, 77, 3);
+          noisy_sweep(rf, &tiled, x, y, 0.05, 77, 3);
           return y;
         },
         want, "noisy path");
