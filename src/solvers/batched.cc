@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/solvers/monitor.h"
 #include "src/sparse/vector_ops.h"
@@ -59,7 +60,10 @@ namespace {
 struct ColumnState {
   detail::Monitor monitor;
   SolveResult result;
-  double rnorm = 0.0;
+  // +infinity until the column's first residual is computed: a column the
+  // ABFT verdict rejects on the warm-start apply never had one, and must
+  // not report 0 (which reads as perfectly converged).
+  double rnorm = std::numeric_limits<double>::infinity();
   bool done = false;
 
   explicit ColumnState(const SolveOptions& options) : monitor(options) {}

@@ -410,5 +410,40 @@ TEST(FaultySolve, BicgstabMultiReportsCorruption) {
   EXPECT_TRUE(corrupted_seen);
 }
 
+TEST(FaultySolve, WarmStartApplyRejectedReportsInfiniteResidual) {
+  // The x0 apply is the column's first sweep. When ABFT rejects it, no
+  // residual was ever computed: both drivers must report +infinity, not a
+  // 0.0 that reads as perfectly converged.
+  GlobalInjectorGuard guard;
+  const sparse::Csr a =
+      gen::build_stencil(gen::laplace2d_5pt(16, 12)).shifted(0.15);
+  const core::RefloatMatrix rf(a, test_format());
+  const std::vector<double> b = solve::make_rhs_batch(a, 1);
+  const std::vector<double> x0(b.size(), 0.01);
+  const core::AbftChecksum abft = core::make_abft_checksum(rf);
+  auto backend = core::make_value_backend(rf);
+  backend->set_abft(&abft);
+  solve::SolveOptions options;
+  options.tolerance = 1e-8;
+
+  for (const bool use_cg : {true, false}) {
+    ASSERT_TRUE(FaultInjector::global().configure_from_text("sweep:1:7:1"));
+    solve::BackendMultiOperator op(*backend, 1);
+    const solve::BatchedSolveResult result =
+        use_cg ? solve::cg_multi(op, b, 1, options, {}, x0)
+               : solve::bicgstab_multi(op, b, 1, options, {}, x0);
+    const char* driver = use_cg ? "cg_multi" : "bicgstab_multi";
+    const solve::SolveResult& col = result.columns[0];
+    EXPECT_EQ(col.status, solve::SolveStatus::kCorrupted) << driver;
+    EXPECT_EQ(col.iterations, 0) << driver;
+    EXPECT_TRUE(std::isinf(col.final_residual) && col.final_residual > 0)
+        << driver << " final_residual " << col.final_residual;
+    ASSERT_EQ(result.failures.size(), 1u) << driver;
+    EXPECT_TRUE(std::isinf(result.failures[0].last_good_residual))
+        << driver << " last_good_residual "
+        << result.failures[0].last_good_residual;
+  }
+}
+
 }  // namespace
 }  // namespace refloat
