@@ -134,10 +134,19 @@ void noisy_block_row_multi(const SpmvPlan& plan, std::size_t br,
   }
 }
 
-}  // namespace
+// Reusable buffers for the k-RHS sweeps: the quantized column-major batch
+// and the row-major interleaved (n x k) operand/result images. One
+// instance per backend, like the single-RHS scratch.
+struct MultiSpmvScratch {
+  std::vector<double> columns;
+  std::vector<double> x_interleaved;
+  std::vector<double> y_interleaved;
+};
 
-namespace detail {
-
+// The sweep scaffolding behind the value and noisy backends (quantize ->
+// zero -> sharded block-row sweep, plus interleave/deinterleave for k > 1),
+// parameterized by an optional borrowed TiledPlan (nullptr or empty =
+// untiled).
 void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
                         std::span<const double> x, std::span<double> y,
                         std::vector<double>& xq) {
@@ -224,6 +233,11 @@ void sweep_noisy_single(const RefloatMatrix& rf, const TiledPlan* tiled,
   });
 }
 
+// Batched noisy sweep: column j's noise comes from one stream per
+// (seeds[j], sequences[j], grid block-row), drawn in the serial block order
+// with the same nonzero-partial skip as the single-RHS kernel — column j is
+// bit-identical to sweep_noisy_single(x_j, seeds[j], sequences[j]) at any
+// thread count and tile split. Both spans need >= k entries.
 void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
                        std::span<const double> x, std::size_t k,
                        std::span<double> y, MultiSpmvScratch& scratch,
@@ -271,6 +285,10 @@ void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
   });
   sparse::deinterleave(scratch.y_interleaved, n_rows, k, y);
 }
+
+}  // namespace
+
+namespace detail {
 
 void finish_sweep(const AbftChecksum* abft, std::span<const double> x_check,
                   std::size_t n_cols, std::span<double> y, std::size_t n_rows,
@@ -366,9 +384,9 @@ class ValueBackend final : public SweepBackend {
   void sweep(std::span<const double> x, std::size_t k, std::span<double> y,
              const SweepContext& ctx) override {
     if (k == 1) {
-      detail::sweep_value_single(rf_, tiles_.get(), x, y, xq_);
+      sweep_value_single(rf_, tiles_.get(), x, y, xq_);
     } else {
-      detail::sweep_value_multi(rf_, tiles_.get(), x, k, y, scratch_);
+      sweep_value_multi(rf_, tiles_.get(), x, k, y, scratch_);
     }
     detail::finish_sweep(abft(), k == 1 ? std::span<const double>(xq_)
                                         : std::span<const double>(scratch_.columns),
@@ -379,7 +397,7 @@ class ValueBackend final : public SweepBackend {
   const RefloatMatrix& rf_;
   TileRouting tiles_;
   std::vector<double> xq_;
-  detail::MultiSpmvScratch scratch_;
+  MultiSpmvScratch scratch_;
 };
 
 class NoisyBackend final : public SweepBackend {
@@ -419,10 +437,10 @@ class NoisyBackend final : public SweepBackend {
       sequences = default_sequences_;
     }
     if (k == 1) {
-      detail::sweep_noisy_single(rf_, tiles_.get(), x, y, xq_, sigma_,
+      sweep_noisy_single(rf_, tiles_.get(), x, y, xq_, sigma_,
                                  seeds[0], sequences[0]);
     } else {
-      detail::sweep_noisy_multi(rf_, tiles_.get(), x, k, y, scratch_, sigma_,
+      sweep_noisy_multi(rf_, tiles_.get(), x, k, y, scratch_, sigma_,
                                 seeds, sequences);
     }
     detail::finish_sweep(abft(), k == 1 ? std::span<const double>(xq_)
@@ -439,7 +457,7 @@ class NoisyBackend final : public SweepBackend {
   std::vector<std::uint64_t> default_seeds_;
   std::vector<std::uint64_t> default_sequences_;
   std::vector<double> xq_;
-  detail::MultiSpmvScratch scratch_;
+  MultiSpmvScratch scratch_;
 };
 
 }  // namespace

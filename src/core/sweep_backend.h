@@ -25,9 +25,9 @@
 // Tiling is a constructor-time choice (a pure scheduling change), threading
 // lives inside the sweep on util::ThreadPool::global(), and the
 // quantize -> interleave -> sharded block-row sweep -> deinterleave
-// scaffolding lives once in sweep_backend.cc (detail::*), with
-// sparse::interleave / sparse::deinterleave as the single layout-transpose
-// definition.
+// scaffolding of the value and noisy views lives once in sweep_backend.cc,
+// with sparse::interleave / sparse::deinterleave as the single
+// layout-transpose definition.
 //
 // This TU is compiled with -ffp-contract=off like the kernel TUs: the noisy
 // partial accumulation is scalar code, and pinning its rounding makes the
@@ -190,40 +190,6 @@ std::unique_ptr<SweepBackend> make_noisy_backend(const RefloatMatrix& rf,
 // below hw/ in the layer diagram.)
 
 namespace detail {
-
-// Reusable buffers for the k-RHS sweeps: the quantized column-major batch
-// and the row-major interleaved (n x k) operand/result images. One
-// instance per backend, like the single-RHS scratch.
-struct MultiSpmvScratch {
-  std::vector<double> columns;
-  std::vector<double> x_interleaved;
-  std::vector<double> y_interleaved;
-};
-
-// The shared sweep scaffolding behind the value and noisy backends
-// (quantize -> zero -> sharded block-row sweep, plus interleave/deinterleave
-// for k > 1), parameterized by an optional borrowed TiledPlan (nullptr or
-// empty = untiled).
-void sweep_value_single(const RefloatMatrix& rf, const TiledPlan* tiled,
-                        std::span<const double> x, std::span<double> y,
-                        std::vector<double>& xq);
-void sweep_value_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
-                       std::span<const double> x, std::size_t k,
-                       std::span<double> y, MultiSpmvScratch& scratch);
-void sweep_noisy_single(const RefloatMatrix& rf, const TiledPlan* tiled,
-                        std::span<const double> x, std::span<double> y,
-                        std::vector<double>& xq, double sigma,
-                        std::uint64_t seed, std::uint64_t sequence);
-// Batched noisy sweep: column j's noise comes from one stream per
-// (seeds[j], sequences[j], grid block-row), drawn in the serial block order
-// with the same nonzero-partial skip as the single-RHS kernel — column j is
-// bit-identical to sweep_noisy_single(x_j, seeds[j], sequences[j]) at any
-// thread count and tile split. Both spans need >= k entries.
-void sweep_noisy_multi(const RefloatMatrix& rf, const TiledPlan* tiled,
-                       std::span<const double> x, std::size_t k,
-                       std::span<double> y, MultiSpmvScratch& scratch,
-                       double sigma, std::span<const std::uint64_t> seeds,
-                       std::span<const std::uint64_t> sequences);
 
 // Shared sweep epilogue: the util::FaultInjector's `sweep` site (per-column
 // corruption of Y — applied serially after the parallel block-row sweep, so

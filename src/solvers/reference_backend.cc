@@ -1,13 +1,17 @@
 #include "src/solvers/reference_backend.h"
 
 #include <cmath>
-#include <utility>
 
 #include "src/core/format.h"
 
 namespace refloat::solve {
 
 namespace {
+
+// Feinberg et al.'s window below the matrix-global exponent, and the
+// fixed-point fraction width inside it.
+constexpr int kFeinbergExponentBits = 6;
+constexpr int kFeinbergFractionBits = 52;
 
 // Bit truncation of an FP64 to e exponent-field bits / f fraction bits.
 // Unlike core::quantize_scalar (a full IEEE mini-float with gradual
@@ -65,8 +69,7 @@ ReferenceBackend::ReferenceBackend(const sparse::Csr& a, TruncateSpec spec)
     : label_("truncated"),
       owned_(a),
       matrix_(&owned_),
-      truncate_input_(true),
-      spec_(spec) {
+      truncate_input_(spec) {
   for (double& v : owned_.mutable_values()) {
     v = truncate_fp(v, spec.exp_bits, spec.frac_bits);
   }
@@ -83,7 +86,8 @@ void ReferenceBackend::sweep(std::span<const double> x, std::size_t k,
     if (truncate_input_) {
       scratch_.resize(n_cols);
       for (std::size_t i = 0; i < n_cols; ++i) {
-        scratch_[i] = truncate_fp(xj[i], spec_.exp_bits, spec_.frac_bits);
+        scratch_[i] = truncate_fp(xj[i], truncate_input_->exp_bits,
+                                  truncate_input_->frac_bits);
       }
       xj = scratch_;
     }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -28,7 +29,7 @@ struct TruncateSpec {
 };
 
 enum class ReferenceArithmetic {
-  kExact,     // FP64, the matrix borrowed as is
+  kExact,  // FP64, the matrix borrowed as is
   // Matrix-global shared exponent, 52-bit fixed-point fractions, a
   // 2^6-position exponent window below the global maximum. Entries whose
   // exponent falls out of the window flush to zero — the mechanism behind
@@ -39,9 +40,6 @@ enum class ReferenceArithmetic {
 
 class ReferenceBackend final : public core::SweepBackend {
  public:
-  static constexpr int kFeinbergExponentBits = 6;
-  static constexpr int kFeinbergFractionBits = 52;
-
   // kExact borrows `a` for the backend's lifetime; kFeinberg keeps its own
   // quantized copy.
   explicit ReferenceBackend(
@@ -74,8 +72,7 @@ class ReferenceBackend final : public core::SweepBackend {
   const char* label_;
   sparse::Csr owned_;
   const sparse::Csr* matrix_;
-  bool truncate_input_ = false;
-  TruncateSpec spec_;
+  std::optional<TruncateSpec> truncate_input_;
   std::size_t flushed_ = 0;
   std::vector<double> scratch_;
 };

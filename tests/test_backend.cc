@@ -65,6 +65,8 @@ TEST(SweepBackend, ValueK1MatchesTiledAndBatchedColumn) {
 
   auto untiled = core::make_value_backend(rf);
   EXPECT_EQ(untiled->kind(), core::BackendKind::kValue);
+  EXPECT_STREQ(untiled->label(), "refloat");
+  EXPECT_EQ(untiled->rows(), n);
   std::vector<double> want(n);
   untiled->sweep(x, 1, want, {});
 
