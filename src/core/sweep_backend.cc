@@ -437,11 +437,11 @@ class NoisyBackend final : public SweepBackend {
       sequences = default_sequences_;
     }
     if (k == 1) {
-      sweep_noisy_single(rf_, tiles_.get(), x, y, xq_, sigma_,
-                                 seeds[0], sequences[0]);
+      sweep_noisy_single(rf_, tiles_.get(), x, y, xq_, sigma_, seeds[0],
+                         sequences[0]);
     } else {
-      sweep_noisy_multi(rf_, tiles_.get(), x, k, y, scratch_, sigma_,
-                                seeds, sequences);
+      sweep_noisy_multi(rf_, tiles_.get(), x, k, y, scratch_, sigma_, seeds,
+                        sequences);
     }
     detail::finish_sweep(abft(), k == 1 ? std::span<const double>(xq_)
                                         : std::span<const double>(scratch_.columns),
