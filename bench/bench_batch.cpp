@@ -47,8 +47,8 @@ void measured_backend_sweeps() {
   std::vector<Entry> entries;
   entries.push_back({"value", core::make_value_backend(rf)});
   entries.push_back({"noisy", core::make_noisy_backend(rf, 1e-3, 42)});
-  entries.push_back(
-      {"bittrue", hw::make_bit_true_backend(rf, hw::ClusterConfig{})});
+  entries.push_back({"bittrue", std::make_unique<hw::BitTrueBackend>(
+                                    rf, hw::ClusterConfig{})});
 
   std::vector<double> x(kWide * n);
   util::Rng rng(11);

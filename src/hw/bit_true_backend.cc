@@ -74,16 +74,4 @@ void BitTrueBackend::sweep(std::span<const double> x, std::size_t k,
   core::detail::finish_sweep(abft(), x, cols_, y, rows_, k, ctx.verdict);
 }
 
-std::unique_ptr<core::SweepBackend> make_bit_true_backend(
-    const core::RefloatMatrix& rf, const ClusterConfig& config,
-    std::uint64_t seed) {
-  return std::make_unique<BitTrueBackend>(rf, config, seed);
-}
-
-std::unique_ptr<core::SweepBackend> make_bit_true_backend(
-    const core::RefloatMatrix& rf, const ClusterConfig& config,
-    const core::TiledPlan& tiled, std::uint64_t seed) {
-  return std::make_unique<BitTrueBackend>(rf, config, tiled, seed);
-}
-
 }  // namespace refloat::hw

@@ -16,8 +16,6 @@
 // bit-for-bit.
 #pragma once
 
-#include <memory>
-
 #include "src/core/sweep_backend.h"
 #include "src/hw/hw_spmv.h"
 
@@ -72,12 +70,5 @@ class BitTrueBackend final : public core::SweepBackend {
   std::vector<std::uint64_t> bases_;
   long reprograms_ = 0;
 };
-
-std::unique_ptr<core::SweepBackend> make_bit_true_backend(
-    const core::RefloatMatrix& rf, const ClusterConfig& config,
-    std::uint64_t seed = 0x817b17ULL);
-std::unique_ptr<core::SweepBackend> make_bit_true_backend(
-    const core::RefloatMatrix& rf, const ClusterConfig& config,
-    const core::TiledPlan& tiled, std::uint64_t seed = 0x817b17ULL);
 
 }  // namespace refloat::hw

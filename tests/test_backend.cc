@@ -7,6 +7,7 @@
 // the serving layer treat value / noisy / bit-true as one interface.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/core/refloat_matrix.h"
@@ -128,7 +129,7 @@ TEST(SweepBackend, BitTrueK1BitIdenticalToHwApply) {
   util::Rng direct_rng(seed);
   std::vector<double> want(n);
 
-  auto backend = hw::make_bit_true_backend(rf, config, seed);
+  auto backend = std::make_unique<hw::BitTrueBackend>(rf, config, seed);
   std::vector<double> got(n);
   for (int sweep = 0; sweep < 3; ++sweep) {
     direct.apply(x, want, direct_rng);
@@ -254,14 +255,14 @@ TEST(SweepBackend, BatchedBitTrueSolveMatchesSoloSolve) {
   hw::ClusterConfig config;  // ideal datapath: deterministic bit-true
   std::vector<solve::SolveResult> solo;
   for (std::size_t j = 0; j < k; ++j) {
-    auto backend = hw::make_bit_true_backend(rf, config);
+    auto backend = std::make_unique<hw::BitTrueBackend>(rf, config);
     solve::BackendMultiOperator op(*backend, 1);
     const solve::BatchedSolveResult one = solve::cg_multi(
         op, std::span<const double>(b).subspan(j * n, n), 1, opts);
     solo.push_back(one.columns[0]);
   }
 
-  auto backend = hw::make_bit_true_backend(rf, config);
+  auto backend = std::make_unique<hw::BitTrueBackend>(rf, config);
   solve::BackendMultiOperator multi(*backend, k);
   const solve::BatchedSolveResult batch = solve::cg_multi(multi, b, k, opts);
   for (std::size_t j = 0; j < k; ++j) {

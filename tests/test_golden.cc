@@ -133,7 +133,7 @@ class Platform {
     if (name_ == "noisy") {
       return core::make_noisy_backend(rf_, kNoiseSigma, kNoiseSeed, tiles);
     }
-    return hw::make_bit_true_backend(rf_, config_);
+    return std::make_unique<hw::BitTrueBackend>(rf_, config_);
   }
 
   std::string name_;
