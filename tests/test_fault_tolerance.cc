@@ -412,8 +412,8 @@ TEST(FaultySolve, BicgstabMultiReportsCorruption) {
 
 TEST(FaultySolve, WarmStartApplyRejectedReportsInfiniteResidual) {
   // The x0 apply is the column's first sweep. When ABFT rejects it, no
-  // residual was ever computed: both drivers must report +infinity, not a
-  // 0.0 that reads as perfectly converged.
+  // residual was ever computed: cg_multi and bicgstab_multi must report
+  // +infinity, not a 0.0 that reads as perfectly converged.
   GlobalInjectorGuard guard;
   const sparse::Csr a =
       gen::build_stencil(gen::laplace2d_5pt(16, 12)).shifted(0.15);
@@ -432,15 +432,15 @@ TEST(FaultySolve, WarmStartApplyRejectedReportsInfiniteResidual) {
     const solve::BatchedSolveResult result =
         use_cg ? solve::cg_multi(op, b, 1, options, {}, x0)
                : solve::bicgstab_multi(op, b, 1, options, {}, x0);
-    const char* driver = use_cg ? "cg_multi" : "bicgstab_multi";
+    const char* solver = use_cg ? "cg_multi" : "bicgstab_multi";
     const solve::SolveResult& col = result.columns[0];
-    EXPECT_EQ(col.status, solve::SolveStatus::kCorrupted) << driver;
-    EXPECT_EQ(col.iterations, 0) << driver;
+    EXPECT_EQ(col.status, solve::SolveStatus::kCorrupted) << solver;
+    EXPECT_EQ(col.iterations, 0) << solver;
     EXPECT_TRUE(std::isinf(col.final_residual) && col.final_residual > 0)
-        << driver << " final_residual " << col.final_residual;
-    ASSERT_EQ(result.failures.size(), 1u) << driver;
+        << solver << " final_residual " << col.final_residual;
+    ASSERT_EQ(result.failures.size(), 1u) << solver;
     EXPECT_TRUE(std::isinf(result.failures[0].last_good_residual))
-        << driver << " last_good_residual "
+        << solver << " last_good_residual "
         << result.failures[0].last_good_residual;
   }
 }
