@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <chrono>
 #include <future>
 #include <thread>
@@ -580,6 +581,46 @@ TEST(ServeFaults, BitTrueLadderReprogramsThenDegrades) {
   EXPECT_EQ(stats.reprograms, 1u);
   EXPECT_EQ(stats.degraded, 1u);
   EXPECT_EQ(stats.recovered, 1u);
+}
+
+TEST(ServeFaults, PersistentPlanCorruptionRebuildsResident) {
+  // Budget 1 damages the first resident's plan arena, so the initial solve
+  // and the rung-1 re-solve both fail ABFT on the same image; the rung-2
+  // rebuild evicts it, the builder runs clean, and the answer matches the
+  // fault-free solo solve bit for bit from the rebuilt resident.
+  GlobalInjectorGuard guard;
+  SolverDaemon daemon(manual_config());
+  register_test_matrix(daemon);
+  const sparse::Csr a = test_csr();
+  const std::size_t n = static_cast<std::size_t>(a.rows());
+  const std::vector<double> b = solve::make_rhs_batch(a, 1);
+
+  ASSERT_TRUE(
+      util::FaultInjector::global().configure_from_text("plan:1:43:1"));
+  auto future = submit_rhs(daemon, batch_column(b, n, 0));
+  const TimePoint t0 = Clock::now();
+  daemon.pump(t0);
+  daemon.pump(t0 + milliseconds(3));
+
+  ASSERT_TRUE(ready(future));
+  const SolveResponse got = future.get();
+  const solve::SolveResult want = solo_cg(batch_column(b, n, 0), 1e-8);
+  EXPECT_EQ(got.status, ResponseStatus::kOk);
+  EXPECT_EQ(got.solve_status, solve::SolveStatus::kConverged);
+  EXPECT_STREQ(got.backend, "value");
+  EXPECT_EQ(got.retries, 2);
+  EXPECT_FALSE(got.degraded);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.final_residual),
+            std::bit_cast<std::uint64_t>(want.final_residual));
+
+  const ServeStats stats = daemon.stats();
+  EXPECT_EQ(stats.abft_failures, 2u);
+  EXPECT_EQ(stats.retries, 2u);
+  EXPECT_EQ(stats.rebuilds, 1u);
+  EXPECT_EQ(stats.recovered, 1u);
+  EXPECT_EQ(stats.degraded, 0u);
+  EXPECT_EQ(stats.cache.builds, 2u);
 }
 
 TEST(ServeFaults, LadderShedsWhenDeadlineCannotFitRetry) {
