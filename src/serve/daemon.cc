@@ -1,6 +1,9 @@
 #include "src/serve/daemon.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -22,57 +25,115 @@ namespace refloat::serve {
 
 namespace {
 
-// Positive-integer env override; invalid values warn and keep `fallback`.
-std::size_t env_size(const char* name, std::size_t fallback) {
+// Integer env override in [min, max]; invalid values warn and keep
+// `fallback`.
+std::size_t env_size(const char* name, std::size_t fallback,
+                     std::size_t min = 1, std::size_t max = SIZE_MAX) {
   const char* text = std::getenv(name);
   if (text == nullptr || text[0] == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || parsed < 1) {
-    RF_LOG_WARN("%s=\"%s\" is not a positive integer; using %zu", name, text,
-                fallback);
+  if (end == text || *end != '\0' || errno == ERANGE || parsed < 0 ||
+      static_cast<unsigned long long>(parsed) < min ||
+      static_cast<unsigned long long>(parsed) > max) {
+    RF_LOG_WARN("%s=\"%s\" is not an integer in [%zu, %zu]; using %zu", name,
+                text, min, max, fallback);
     return fallback;
   }
   return static_cast<std::size_t>(parsed);
 }
 
+// Millisecond env override in [0, kMaxSpanMs]; invalid values (inf and NaN
+// included) warn and keep `fallback`.
 double env_double(const char* name, double fallback) {
   const char* text = std::getenv(name);
   if (text == nullptr || text[0] == '\0') return fallback;
   char* end = nullptr;
   const double parsed = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !(parsed >= 0.0)) {
-    RF_LOG_WARN("%s=\"%s\" is not a non-negative number; using %g", name,
-                text, fallback);
+  if (end == text || *end != '\0' || !(parsed >= 0.0 && parsed <= kMaxSpanMs)) {
+    RF_LOG_WARN("%s=\"%s\" is not a number in [0, %g]; using %g", name, text,
+                kMaxSpanMs, fallback);
     return fallback;
   }
   return parsed;
 }
 
-Duration window_duration(double ms) {
-  return std::chrono::duration_cast<Duration>(
-      std::chrono::duration<double, std::milli>(ms));
-}
+double seconds(Duration d) { return std::chrono::duration<double>(d).count(); }
 
-const char* solver_name_of(bool indefinite) {
-  return indefinite ? "bicgstab" : "cg";
-}
-
-// ABFT relative tolerance per execution view. Value sweeps only carry FP
-// summation rounding; noisy sweeps scatter each output by ~sigma per
-// contributing term; bit-true sweeps additionally quantize the operand
-// vector (the checksum is verified against the raw x), so the bound is the
-// loosest. A corruption flips an exponent bit or plants a NaN — orders of
-// magnitude outside all three bounds.
-double abft_tolerance(core::BackendKind kind, double sigma) {
+// Builds the served execution view `kind` over a resident matrix (`tiled`
+// empty = untiled). With `abft` non-null, every sweep is verified against
+// the view's checksum row, computed into `abft` (which must outlive the
+// backend) at a relative tolerance per view: value sweeps carry only FP
+// rounding, noisy ones scatter each output by ~sigma per term, bit-true
+// ones also quantize the operand (checked against the raw x). A corruption
+// flips an exponent bit or plants a NaN, far outside all three bounds.
+std::unique_ptr<core::SweepBackend> make_served_backend(
+    const core::RefloatMatrix& rf, const core::TiledPlan& tiled,
+    core::BackendKind kind, double sigma, core::AbftChecksum* abft) {
+  const core::TiledPlan* tp = tiled.empty() ? nullptr : &tiled;
+  std::unique_ptr<core::SweepBackend> backend;
+  double tolerance = 1e-6;
   switch (kind) {
-    case core::BackendKind::kValue: return 1e-6;
-    case core::BackendKind::kNoisy: return std::max(1e-6, 32.0 * sigma);
-    case core::BackendKind::kBitTrue: return 1e-3;
-    case core::BackendKind::kReference: break;  // never served
+    case core::BackendKind::kValue:
+      backend = core::make_value_backend(rf, tp);
+      break;
+    case core::BackendKind::kNoisy:
+      // The constructor seed is the empty-context fallback only; serving
+      // always passes each request's own noise_seed through the
+      // SweepContext, so 0 is never consumed.
+      backend = core::make_noisy_backend(rf, sigma, /*seed=*/0, tp);
+      tolerance = std::max(1e-6, 32.0 * sigma);
+      break;
+    case core::BackendKind::kBitTrue:
+      // Default ClusterConfig = the ideal datapath (no faults, no
+      // conductance noise): serving is deterministic, and the image is
+      // programmed once per residency — the cost the cache amortizes.
+      backend = tp != nullptr ? std::make_unique<hw::BitTrueBackend>(
+                                    rf, hw::ClusterConfig{}, *tp)
+                              : std::make_unique<hw::BitTrueBackend>(
+                                    rf, hw::ClusterConfig{});
+      tolerance = 1e-3;
+      break;
+    case core::BackendKind::kReference:  // never parsed from a request
+      throw std::runtime_error("reference backends are not served");
   }
-  return 1e-6;
+  if (abft != nullptr) {
+    *abft = core::make_abft_checksum(rf, tolerance);
+    backend->set_abft(abft);
+  }
+  return backend;
 }
+
+// The solve behind a batch and every ladder attempt: the probe-routed
+// lockstep driver over `backend`, one column per entry of `seeds`, each on
+// its own noise stream and to its own tolerance.
+solve::BatchedSolveResult solve_columns(core::SweepBackend& backend,
+                                        bool indefinite,
+                                        std::span<const double> b,
+                                        long max_iterations,
+                                        std::span<const double> tolerances,
+                                        std::vector<std::uint64_t> seeds,
+                                        std::span<const double> x0 = {}) {
+  const std::size_t k = seeds.size();
+  solve::SolveOptions options;
+  options.max_iterations = max_iterations;
+  options.record_trace = false;
+  solve::BackendMultiOperator op(backend, std::move(seeds));
+  return indefinite ? solve::bicgstab_multi(op, b, k, options, tolerances, x0)
+                    : solve::cg_multi(op, b, k, options, tolerances, x0);
+}
+
+// What one batch column's answer cost the recovery ladder.
+struct ColumnOutcome {
+  core::BackendKind kind = core::BackendKind::kValue;  // the view answering
+  int retries = 0;                 // ladder attempts run
+  int abft_failures = 0;           // solves of the column ending kCorrupted
+  int reprograms = 0;              // crossbar reprogram rungs taken
+  int rebuilds = 0;                // residency rebuild rungs taken
+  double reprogram_seconds = 0.0;  // modeled write-verify reprogram cost
+  bool shed = false;               // no attempt fit before the deadline
+};
 
 // Bounds the latency reservoir: a long-lived daemon must not grow an
 // unbounded vector of every latency ever observed.
@@ -99,24 +160,14 @@ ServeConfig ServeConfig::from_env() {
   config.max_batch = env_size("REFLOAT_SERVE_BATCH", config.max_batch);
   config.batch_window_ms =
       env_double("REFLOAT_SERVE_WINDOW_MS", config.batch_window_ms);
-  config.cache_bytes =
-      env_size("REFLOAT_SERVE_CACHE_MB", config.cache_bytes >> 20) << 20;
-  if (const char* text = std::getenv("REFLOAT_SERVE_ABFT");
-      text != nullptr && text[0] != '\0') {
-    config.abft = !(text[0] == '0' && text[1] == '\0');
-  }
-  if (const char* text = std::getenv("REFLOAT_SERVE_RETRIES");
-      text != nullptr && text[0] != '\0') {
-    char* end = nullptr;
-    const long parsed = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || parsed < 0) {
-      RF_LOG_WARN("REFLOAT_SERVE_RETRIES=\"%s\" is not a non-negative "
-                  "integer; using %d",
-                  text, config.max_retries);
-    } else {
-      config.max_retries = static_cast<int>(parsed);
-    }
-  }
+  // Capped so the MiB -> byte shift cannot wrap.
+  config.cache_bytes = env_size("REFLOAT_SERVE_CACHE_MB",
+                                config.cache_bytes >> 20, 1, SIZE_MAX >> 20)
+                       << 20;
+  config.abft = env_size("REFLOAT_SERVE_ABFT", config.abft ? 1 : 0, 0, 1) == 1;
+  config.max_retries = static_cast<int>(
+      env_size("REFLOAT_SERVE_RETRIES",
+               static_cast<std::size_t>(config.max_retries), 0, INT_MAX));
   return config;
 }
 
@@ -134,7 +185,10 @@ std::vector<double> seeded_rhs(std::size_t n, std::uint64_t seed) {
 SolverDaemon::SolverDaemon(ServeConfig config)
     : config_(config),
       queue_(config.queue_capacity),
-      batcher_(config.max_batch, window_duration(config.batch_window_ms)),
+      batcher_(config.max_batch,
+               std::chrono::duration_cast<Duration>(
+                   std::chrono::duration<double, std::milli>(
+                       config.batch_window_ms))),
       cache_(config.cache_bytes) {
   if (config_.tiles <= 0) config_.tiles = core::default_tile_count();
   if (!config_.manual_pump) {
@@ -244,12 +298,8 @@ void SolverDaemon::respond_shed(PendingRequest&& pending,
   SolveResponse response;
   response.status = status;
   response.latency.queue_seconds =
-      std::chrono::duration<double>(pending.dequeue_time -
-                                    pending.submit_time)
-          .count();
-  response.latency.total_seconds =
-      std::chrono::duration<double>(Clock::now() - pending.submit_time)
-          .count();
+      seconds(pending.dequeue_time - pending.submit_time);
+  response.latency.total_seconds = seconds(Clock::now() - pending.submit_time);
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     if (status == ResponseStatus::kShedDeadline) {
@@ -263,406 +313,325 @@ void SolverDaemon::respond_shed(PendingRequest&& pending,
   pending.promise.set_value(std::move(response));
 }
 
-void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
+LadderRung next_rung(const LadderState& state) {
+  using core::BackendKind;
+  if (state.status == solve::SolveStatus::kConverged) return LadderRung::kStop;
+  if (state.deadline != kNoDeadline &&
+      state.now + std::chrono::duration_cast<Duration>(
+                      std::chrono::duration<double>(state.estimate_seconds)) >
+          state.deadline) {
+    return LadderRung::kShed;
+  }
+  if (state.attempt <= 1) return LadderRung::kResolve;
+  // Rung 2+ changes something before solving again; once degraded, only
+  // further degradation is left.
+  if (state.current == state.served) {
+    if (state.served == BackendKind::kBitTrue) {
+      if (!state.reprogrammed) return LadderRung::kReprogram;
+    } else if (state.status == solve::SolveStatus::kCorrupted &&
+               !state.rebuilt) {
+      return LadderRung::kRebuild;
+    }
+  }
+  return state.current == BackendKind::kValue ? LadderRung::kStop
+                                              : LadderRung::kDegrade;
+}
+
+struct SolverDaemon::BatchRun {
+  std::string key;
+  core::BackendKind kind = core::BackendKind::kValue;  // the served view
+  double sigma = 0.0;
   Registration reg;
+  ResidencyCache::EntryPtr entry;  // replaced by the rebuild rung
+  bool cache_hit = false;
+  double build_seconds = 0.0;
+  std::vector<PendingRequest> requests;  // valid ones, in column order
+  std::vector<double> b;                 // column-major k x n
+  std::vector<double> tolerances;
+  std::vector<std::uint64_t> noise_seeds;
+  solve::BatchedSolveResult result;
+  double solve_seconds = 0.0;
+  std::vector<ColumnOutcome> outcome;
+};
+
+void SolverDaemon::dispatch_batch(Batcher::ReadyBatch&& batch) {
+  // The batch key pins the execution view; every member agrees on backend
+  // kind and noise sigma by construction.
+  BatchRun run;
+  run.key = std::move(batch.key);
+  run.kind = batch.requests.front().request.backend;
+  run.sigma = batch.requests.front().request.noise_sigma;
+  if (!acquire_resident(batch, run)) return;
+  fill_rhs(batch, run);
+  if (run.requests.empty()) return;
+
+  util::Timer solve_timer;
+  run.result = solve_columns(*run.entry->backend, run.entry->indefinite,
+                             run.b, config_.max_iterations, run.tolerances,
+                             run.noise_seeds);
+  run.solve_seconds = solve_timer.seconds();
+
+  // Every failed column walks the ladder alone (k=1 solves — the failed
+  // column, not the whole batch again). A column that ran out its
+  // iteration budget got exactly the service it paid for — a retry would
+  // burn the same budget again.
+  for (const solve::ColumnFailure& f : run.result.failures) {
+    run.outcome[f.column].abft_failures +=
+        f.status == solve::SolveStatus::kCorrupted ? 1 : 0;
+    if (config_.max_retries > 0 &&
+        f.status != solve::SolveStatus::kMaxIterations) {
+      walk_ladder(run, f);
+    }
+  }
+  respond(run);
+}
+
+// Looks up the registration and gets or builds the resident; answers the
+// whole batch kUnknownMatrix when either fails.
+bool SolverDaemon::acquire_resident(Batcher::ReadyBatch& batch,
+                                    BatchRun& run) {
   {
     std::lock_guard<std::mutex> lock(registry_mutex_);
     auto it = registry_.find(batch.matrix);
-    if (it == registry_.end()) {
-      for (PendingRequest& p : batch.requests) {
-        respond_shed(std::move(p), ResponseStatus::kUnknownMatrix);
-      }
-      return;
-    }
-    reg = it->second;
+    if (it != registry_.end()) run.reg = it->second;
   }
-
-  // The batch key pins the execution view; every member agrees on backend
-  // kind and noise sigma by construction (batch_key groups on them).
-  const core::BackendKind kind = batch.requests.front().request.backend;
-  const double sigma = batch.requests.front().request.noise_sigma;
-
-  util::Timer build_timer;
-  bool cache_hit = false;
-  ResidencyCache::EntryPtr entry;
-  const int tiles = config_.tiles;
-  const bool abft_on = config_.abft;
-  // Named (not inline) so the recovery ladder's rebuild rung can re-run the
-  // identical builder after evicting a persistently-corrupted resident.
-  const ResidencyCache::Builder builder =
-      [&reg, tiles, kind, sigma, abft_on]() -> ResidencyCache::EntryPtr {
-    util::Timer timer;
-    util::FaultInjector& inj = util::FaultInjector::global();
-    // Injected residency-build fault: surfaces through the builder's
-    // exception path (single-flight marker cleared, batch answered as
-    // failed) — the same path a gen:: loader error takes.
-    if (inj.should_fire(util::FaultSite::kCacheBuild)) {
-      throw std::runtime_error("injected residency-build fault");
+  if (run.reg.build) {
+    util::Timer build_timer;
+    try {
+      run.entry = cache_.get_or_build(
+          run.key, [this, &run] { return build_resident(run); },
+          &run.cache_hit);
+    } catch (const std::exception& e) {
+      RF_LOG_ERROR("serve: building \"%s\" failed: %s", run.key.c_str(),
+                   e.what());
     }
-    sparse::Csr a = reg.build();
-    auto built =
-        std::make_shared<ResidentEntry>(core::RefloatMatrix(a, reg.format));
-    // Injected plan corruption: silently damages the freshly built SpmvPlan
-    // arena. The ABFT checksum is computed from quantized() below, so
-    // checked sweeps flag this on the first apply.
-    if (inj.armed(util::FaultSite::kPlanBuild)) {
-      inj.maybe_corrupt(util::FaultSite::kPlanBuild,
-                        built->rf.mutable_plan().entry_value);
-    }
-    // Partition strictly after the RefloatMatrix reached its final
-    // address — TiledPlan borrows a pointer into rf.plan(); the
-    // backend below borrows both.
-    if (tiles > 1 && built->rf.plan().num_blocks() > 0) {
-      built->tiled = core::TiledPlan::partition(built->rf.plan(),
-                                                {.tiles = tiles});
-    }
-    const core::TiledPlan* tp =
-        built->tiled.empty() ? nullptr : &built->tiled;
-    std::size_t backend_bytes = 0;
-    switch (kind) {
-      case core::BackendKind::kValue:
-        built->backend = core::make_value_backend(built->rf, tp);
-        break;
-      case core::BackendKind::kNoisy:
-        // The constructor seed is the empty-context fallback only;
-        // serving always passes each request's own noise_seed
-        // through the SweepContext, so 0 is never consumed.
-        built->backend = core::make_noisy_backend(built->rf, sigma,
-                                                  /*seed=*/0, tp);
-        break;
-      case core::BackendKind::kBitTrue: {
-        // Default ClusterConfig = the ideal datapath (no faults, no
-        // conductance noise): bit-true serving is deterministic and
-        // the programmed image is built once per residency — the
-        // expensive step this cache exists to amortize.
-        auto bt = tp != nullptr
-                      ? std::make_unique<hw::BitTrueBackend>(
-                            built->rf, hw::ClusterConfig{}, *tp)
-                      : std::make_unique<hw::BitTrueBackend>(
-                            built->rf, hw::ClusterConfig{});
-        backend_bytes = bt->hw().resident_bytes();
-        built->backend = std::move(bt);
-        break;
-      }
-      case core::BackendKind::kReference:  // never parsed from a request
-        throw std::runtime_error("reference backends are not served");
-    }
-    if (abft_on) {
-      built->abft =
-          core::make_abft_checksum(built->rf, abft_tolerance(kind, sigma));
-      built->backend->set_abft(&built->abft);
-    }
-    if (built->rf.quantized().rows() == built->rf.quantized().cols()) {
-      built->indefinite =
-          built->rf.probe_definiteness().likely_indefinite();
-    }
-    built->bytes = built->rf.resident_bytes() +
-                   built->tiled.index_bytes() + backend_bytes;
-    built->build_seconds = timer.seconds();
-    return built;
-  };
-  try {
-    entry = cache_.get_or_build(batch.key, builder, &cache_hit);
-  } catch (const std::exception& e) {
-    RF_LOG_ERROR("serve: building \"%s\" failed: %s", batch.key.c_str(),
-                 e.what());
+    run.build_seconds = build_timer.seconds();
   }
-  if (entry == nullptr) {
-    for (PendingRequest& p : batch.requests) {
-      respond_shed(std::move(p), ResponseStatus::kUnknownMatrix);
-    }
-    return;
-  }
-  const double build_seconds = build_timer.seconds();
-
-  const std::size_t n =
-      static_cast<std::size_t>(entry->rf.quantized().rows());
-
-  // Materialize/validate right-hand sides; answer bad ones before solving.
-  std::vector<PendingRequest> valid;
-  valid.reserve(batch.requests.size());
+  if (run.entry != nullptr) return true;
   for (PendingRequest& p : batch.requests) {
-    if (p.request.rhs.empty()) {
-      p.request.rhs = seeded_rhs(n, p.request.rhs_seed);
-    }
-    if (p.request.rhs.size() != n) {
+    respond_shed(std::move(p), ResponseStatus::kUnknownMatrix);
+  }
+  return false;
+}
+
+ResidencyCache::EntryPtr SolverDaemon::build_resident(
+    const BatchRun& run) const {
+  util::FaultInjector& inj = util::FaultInjector::global();
+  // Injected residency-build fault: surfaces through the builder's
+  // exception path (single-flight marker cleared, batch answered as
+  // failed) — the same path a gen:: loader error takes.
+  if (inj.should_fire(util::FaultSite::kCacheBuild)) {
+    throw std::runtime_error("injected residency-build fault");
+  }
+  const sparse::Csr a = run.reg.build();
+  auto built =
+      std::make_shared<ResidentEntry>(core::RefloatMatrix(a, run.reg.format));
+  // Injected plan corruption: silently damages the freshly built SpmvPlan
+  // arena. The ABFT checksum is computed from quantized(), so checked
+  // sweeps flag this on the first apply.
+  if (inj.armed(util::FaultSite::kPlanBuild)) {
+    inj.maybe_corrupt(util::FaultSite::kPlanBuild,
+                      built->rf.mutable_plan().entry_value);
+  }
+  // Partition strictly after the RefloatMatrix reached its final address —
+  // TiledPlan borrows a pointer into rf.plan(); the backend borrows both.
+  if (config_.tiles > 1 && built->rf.plan().num_blocks() > 0) {
+    built->tiled = core::TiledPlan::partition(built->rf.plan(),
+                                              {.tiles = config_.tiles});
+  }
+  built->backend =
+      make_served_backend(built->rf, built->tiled, run.kind, run.sigma,
+                          config_.abft ? &built->abft : nullptr);
+  if (built->rf.quantized().rows() == built->rf.quantized().cols()) {
+    built->indefinite = built->rf.probe_definiteness().likely_indefinite();
+  }
+  built->bytes = built->rf.resident_bytes() + built->tiled.index_bytes();
+  if (run.kind == core::BackendKind::kBitTrue) {  // + the programmed image
+    built->bytes += static_cast<const hw::BitTrueBackend&>(*built->backend)
+                        .hw()
+                        .resident_bytes();
+  }
+  return built;
+}
+
+// Materializes seeded right-hand sides, answers wrong-sized ones, and lays
+// the rest out column-major with their tolerances and noise seeds. Each
+// column keeps its request's own noise_seed, so column c is bit-identical
+// to a solo solve with that seed — the batch a request happens to ride in
+// is unobservable in its answer.
+void SolverDaemon::fill_rhs(Batcher::ReadyBatch& batch, BatchRun& run) {
+  const std::size_t n =
+      static_cast<std::size_t>(run.entry->rf.quantized().rows());
+  run.requests.reserve(batch.requests.size());
+  run.b.reserve(batch.requests.size() * n);
+  for (PendingRequest& p : batch.requests) {
+    SolveRequest& request = p.request;
+    if (request.rhs.empty()) request.rhs = seeded_rhs(n, request.rhs_seed);
+    if (request.rhs.size() != n) {
       respond_shed(std::move(p), ResponseStatus::kBadRequest);
       continue;
     }
-    valid.push_back(std::move(p));
+    run.b.insert(run.b.end(), request.rhs.begin(), request.rhs.end());
+    run.tolerances.push_back(request.tolerance);
+    run.noise_seeds.push_back(request.noise_seed);
+    run.requests.push_back(std::move(p));
   }
-  if (valid.empty()) return;
-
-  const std::size_t k = valid.size();
-  std::vector<double> b(k * n);
-  std::vector<double> tolerances(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    std::copy(valid[c].request.rhs.begin(), valid[c].request.rhs.end(),
-              b.begin() + static_cast<long>(c * n));
-    tolerances[c] = valid[c].request.tolerance;
-  }
-
-  solve::SolveOptions options;
-  options.max_iterations = config_.max_iterations;
-  options.record_trace = false;
-
-  // Per-column stream identities: each request's own noise_seed, so column
-  // c of this batch is bit-identical to a solo solve with that seed — the
-  // batch a request happens to ride in is unobservable in its answer.
-  std::vector<std::uint64_t> noise_seeds(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    noise_seeds[c] = valid[c].request.noise_seed;
-  }
-
-  util::Timer solve_timer;
-  solve::BackendMultiOperator op(*entry->backend, noise_seeds);
-  solve::BatchedSolveResult result =
-      entry->indefinite
-          ? solve::bicgstab_multi(op, b, k, options, tolerances)
-          : solve::cg_multi(op, b, k, options, tolerances);
-  const double solve_seconds = solve_timer.seconds();
-
-  // Recovery ladder: walk every failed column down the retry/degrade rungs
-  // (k=1 solves — the failed column alone, not the whole batch again).
-  struct ColumnOutcome {
-    const char* backend_name = nullptr;
-    int retries = 0;
-    bool degraded = false;
-    bool shed = false;
-  };
-  std::vector<ColumnOutcome> outcome(k);
-  for (ColumnOutcome& o : outcome) {
-    o.backend_name = core::backend_kind_name(kind);
-  }
-  std::uint64_t tally_abft = 0, tally_retries = 0, tally_recovered = 0;
-  std::uint64_t tally_degraded = 0, tally_reprograms = 0, tally_rebuilds = 0;
-  double tally_reprogram_seconds = 0.0;
-  if (config_.max_retries > 0 && !result.failures.empty()) {
-    const double per_column_estimate =
-        solve_seconds / static_cast<double>(k);
-    for (const solve::ColumnFailure& f : result.failures) {
-      if (f.status == solve::SolveStatus::kCorrupted) ++tally_abft;
-      // A column that ran out its iteration budget got exactly the service
-      // it paid for — a retry would burn the same budget again.
-      if (f.status == solve::SolveStatus::kMaxIterations) continue;
-      const std::size_t c = f.column;
-      Recovery rec = recover_column(
-          batch.key, entry, builder, kind, sigma,
-          std::span<const double>(b).subspan(c * n, n), tolerances[c],
-          noise_seeds[c], valid[c].request.deadline, options,
-          std::move(result.columns[c]), per_column_estimate);
-      RF_LOG_WARN(
-          "serve: column %zu of \"%s\" failed (%s at iter %ld, last-good "
-          "residual %.3e): %d retr%s, %s",
-          c, batch.key.c_str(), solve::status_name(f.status), f.iteration,
-          f.last_good_residual, rec.retries, rec.retries == 1 ? "y" : "ies",
-          rec.shed ? "shed"
-                   : solve::status_name(rec.column.status));
-      result.columns[c] = std::move(rec.column);
-      outcome[c].backend_name = core::backend_kind_name(rec.final_kind);
-      outcome[c].retries = rec.retries;
-      outcome[c].degraded = rec.degraded;
-      outcome[c].shed = rec.shed;
-      tally_retries += static_cast<std::uint64_t>(rec.retries);
-      tally_abft += static_cast<std::uint64_t>(rec.abft_failures);
-      tally_reprograms += static_cast<std::uint64_t>(rec.reprograms);
-      tally_rebuilds += static_cast<std::uint64_t>(rec.rebuilds);
-      tally_reprogram_seconds += rec.reprogram_seconds;
-      if (!rec.shed &&
-          result.columns[c].status == solve::SolveStatus::kConverged) {
-        ++tally_recovered;
-        if (rec.degraded) ++tally_degraded;
-      }
-    }
-  } else {
-    for (const solve::ColumnFailure& f : result.failures) {
-      if (f.status == solve::SolveStatus::kCorrupted) ++tally_abft;
-    }
-  }
-  const TimePoint done = Clock::now();
-
-  for (std::size_t c = 0; c < k; ++c) {
-    PendingRequest& p = valid[c];
-    if (outcome[c].shed) {
-      respond_shed(std::move(p), ResponseStatus::kShedDeadline);
-      continue;
-    }
-    SolveResponse response;
-    response.status = ResponseStatus::kOk;
-    response.solve_status = result.columns[c].status;
-    response.iterations = result.columns[c].iterations;
-    response.final_residual = result.columns[c].final_residual;
-    if (p.request.want_solution) {
-      response.solution = std::move(result.columns[c].solution);
-    }
-    response.batch_k = k;
-    response.solver = solver_name_of(entry->indefinite);
-    response.backend = outcome[c].backend_name;
-    response.cache_hit = cache_hit;
-    response.retries = outcome[c].retries;
-    response.degraded = outcome[c].degraded;
-    response.latency.queue_seconds =
-        std::chrono::duration<double>(p.dequeue_time - p.submit_time).count();
-    response.latency.build_seconds = cache_hit ? 0.0 : build_seconds;
-    response.latency.solve_seconds = solve_seconds;
-    response.latency.total_seconds =
-        std::chrono::duration<double>(done - p.submit_time).count();
-    record_completion(response);
-    p.promise.set_value(std::move(response));
-  }
-
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.batches;
-  stats_.batched_requests += k;
-  stats_.max_batch_k = std::max<std::uint64_t>(stats_.max_batch_k, k);
-  stats_.abft_failures += tally_abft;
-  stats_.retries += tally_retries;
-  stats_.recovered += tally_recovered;
-  stats_.degraded += tally_degraded;
-  stats_.reprograms += tally_reprograms;
-  stats_.rebuilds += tally_rebuilds;
-  stats_.reprogram_seconds_sum += tally_reprogram_seconds;
+  run.outcome.assign(run.requests.size(), ColumnOutcome{.kind = run.kind});
 }
 
-// --- Recovery ladder -------------------------------------------------------
-// One failed column walks down these rungs, one attempt each, bounded by
-// config.max_retries and the request's deadline:
-//   1. Re-solve on the same backend. An ABFT-corrupted solve re-runs from
-//      scratch — the flagged apply's output was discarded before touching
-//      x, so a clean retry reproduces the fault-free trajectory bit-for-bit
-//      (transient faults). Diverged/stalled/breakdown trajectories instead
-//      warm-start from the last-good iterate.
-//   2. Bit-true: reprogram the crossbar image under a fresh fault seed,
-//      priced at a full write-verify programming pass. Other views whose
-//      corruption survived rung 1 (a damaged resident image, not a
-//      transient): evict the residency entry and rebuild it.
-//   3. Degrade one execution view per remaining attempt
-//      (bittrue -> noisy -> value) and re-solve; the response carries
-//      degraded=true and the view that actually answered.
-// Before every attempt the expected cost (the measured duration of the
-// previous attempt) is checked against the deadline; when another attempt
-// no longer fits, the request is shed instead of answered late.
-SolverDaemon::Recovery SolverDaemon::recover_column(
-    const std::string& key, ResidencyCache::EntryPtr& entry,
-    const ResidencyCache::Builder& rebuild, core::BackendKind kind,
-    double sigma, std::span<const double> b_col, double tolerance,
-    std::uint64_t noise_seed, TimePoint deadline,
-    const solve::SolveOptions& options, solve::SolveResult&& failed,
-    double attempt_estimate_seconds) {
-  Recovery rec;
-  rec.column = std::move(failed);
-  rec.final_kind = kind;
-
-  // Degraded-view backends are built on demand over the resident matrix;
-  // their ABFT checksum must outlive every solve that checks against it.
-  std::unique_ptr<core::SweepBackend> degraded_backend;
-  core::AbftChecksum degraded_abft;
-
-  double estimate = std::max(attempt_estimate_seconds, 0.0);
-  bool reprogrammed = false;
-  bool rebuilt = false;
-
-  for (int attempt = 1; attempt <= config_.max_retries; ++attempt) {
-    if (rec.column.status == solve::SolveStatus::kConverged) break;
-    if (deadline != kNoDeadline &&
-        Clock::now() + std::chrono::duration_cast<Duration>(
-                           std::chrono::duration<double>(estimate)) >
-            deadline) {
-      rec.shed = true;
-      return rec;
+// Executes the rungs next_rung picks for one failed column, in place in
+// run.result.
+void SolverDaemon::walk_ladder(BatchRun& run,
+                               const solve::ColumnFailure& failure) {
+  const std::size_t c = failure.column;
+  const std::size_t k = run.requests.size();
+  const std::size_t n = run.b.size() / k;
+  solve::SolveResult& column = run.result.columns[c];
+  ColumnOutcome& out = run.outcome[c];
+  LadderState state{
+      .served = run.kind,
+      .current = run.kind,
+      .status = failure.status,
+      .estimate_seconds =
+          std::max(run.solve_seconds / static_cast<double>(k), 0.0),
+      .deadline = run.requests[c].request.deadline};
+  // Degraded views are built on demand over the resident matrix; their
+  // ABFT checksum must outlive every solve that checks against it.
+  std::unique_ptr<core::SweepBackend> lower;
+  core::AbftChecksum lower_abft;
+  for (; state.attempt <= config_.max_retries; ++state.attempt) {
+    state.now = Clock::now();
+    const LadderRung rung = next_rung(state);
+    if (rung == LadderRung::kStop) break;
+    if (rung == LadderRung::kShed) {
+      out.shed = true;
+      break;
     }
-
-    const bool corrupted =
-        rec.column.status == solve::SolveStatus::kCorrupted;
-    if (attempt > 1) {
-      // Rung 2+: change something before solving again.
-      if (kind == core::BackendKind::kBitTrue && !reprogrammed &&
-          !rec.degraded) {
-        if (entry->backend->reprogram(static_cast<std::uint64_t>(attempt))) {
-          reprogrammed = true;
-          ++rec.reprograms;
-          rec.reprogram_seconds += arch::reprogram_seconds(
-              arch::AcceleratorConfig{}, entry->rf.nonzero_blocks());
-        }
-      } else if (kind != core::BackendKind::kBitTrue && corrupted &&
-                 !rebuilt && !rec.degraded) {
-        // Bit-true already rebuilt its image on the reprogram rung; for the
-        // other views, corruption that survives a clean re-solve means the
-        // resident image itself is damaged.
-        cache_.erase(key);
-        try {
-          ResidencyCache::EntryPtr fresh = cache_.get_or_build(key, rebuild);
-          if (fresh != nullptr) {
-            entry = std::move(fresh);
-            rebuilt = true;
-            ++rec.rebuilds;
-          }
-        } catch (const std::exception& e) {
-          RF_LOG_WARN("serve: rebuilding \"%s\" for recovery failed: %s",
-                      key.c_str(), e.what());
-        }
-      } else {
-        // Degrade one view. Value is the floor — out of rungs there.
-        core::BackendKind next = rec.final_kind;
-        if (rec.final_kind == core::BackendKind::kBitTrue) {
-          next = core::BackendKind::kNoisy;
-        } else if (rec.final_kind == core::BackendKind::kNoisy) {
-          next = core::BackendKind::kValue;
-        } else {
-          break;
-        }
-        const core::TiledPlan* tp =
-            entry->tiled.empty() ? nullptr : &entry->tiled;
-        degraded_backend =
-            next == core::BackendKind::kNoisy
-                ? core::make_noisy_backend(entry->rf, sigma, /*seed=*/0, tp)
-                : core::make_value_backend(entry->rf, tp);
-        if (config_.abft) {
-          degraded_abft =
-              core::make_abft_checksum(entry->rf, abft_tolerance(next, sigma));
-          degraded_backend->set_abft(&degraded_abft);
-        }
-        rec.final_kind = next;
-        rec.degraded = true;
-      }
+    if (rung == LadderRung::kReprogram &&
+        run.entry->backend->reprogram(
+            static_cast<std::uint64_t>(state.attempt))) {
+      state.reprogrammed = true;
+      ++out.reprograms;
+      out.reprogram_seconds += arch::reprogram_seconds(
+          arch::AcceleratorConfig{}, run.entry->rf.nonzero_blocks());
+    } else if (rung == LadderRung::kRebuild && rebuild_resident(run)) {
+      state.rebuilt = true;
+      ++out.rebuilds;
+    } else if (rung == LadderRung::kDegrade) {
+      state.current = state.current == core::BackendKind::kBitTrue
+                          ? core::BackendKind::kNoisy
+                          : core::BackendKind::kValue;
+      lower = make_served_backend(run.entry->rf, run.entry->tiled,
+                                  state.current, run.sigma,
+                                  config_.abft ? &lower_abft : nullptr);
     }
-
     // Corrupted attempts restart clean (bit-identity with the fault-free
     // solve); persistent failures warm-start from the last-good iterate.
     const std::span<const double> x0 =
-        corrupted ? std::span<const double>()
-                  : std::span<const double>(rec.column.solution);
-    core::SweepBackend& backend =
-        rec.degraded ? *degraded_backend : *entry->backend;
-
-    solve::SolveOptions opts = options;
-    opts.tolerance = tolerance;
-    solve::BackendMultiOperator op(backend,
-                                   std::vector<std::uint64_t>{noise_seed});
+        state.status == solve::SolveStatus::kCorrupted
+            ? std::span<const double>()
+            : std::span<const double>(column.solution);
     util::Timer timer;
-    solve::BatchedSolveResult attempt_result =
-        entry->indefinite
-            ? solve::bicgstab_multi(op, b_col, 1, opts, {}, x0)
-            : solve::cg_multi(op, b_col, 1, opts, {}, x0);
-    estimate = timer.seconds();
-    ++rec.retries;
-    if (attempt_result.columns[0].status == solve::SolveStatus::kCorrupted) {
-      ++rec.abft_failures;
-    }
-    rec.column = std::move(attempt_result.columns[0]);
+    solve::BatchedSolveResult again = solve_columns(
+        state.current == run.kind ? *run.entry->backend : *lower,
+        run.entry->indefinite,
+        std::span<const double>(run.b).subspan(c * n, n),
+        config_.max_iterations,
+        std::span<const double>(run.tolerances).subspan(c, 1),
+        {run.noise_seeds[c]}, x0);
+    state.estimate_seconds = timer.seconds();
+    column = std::move(again.columns[0]);
+    state.status = column.status;
+    ++out.retries;
+    if (state.status == solve::SolveStatus::kCorrupted) ++out.abft_failures;
   }
-  return rec;
+  out.kind = state.current;
+  RF_LOG_WARN(
+      "serve: column %zu of \"%s\" failed (%s at iter %ld, last-good "
+      "residual %.3e): %d retr%s, %s",
+      c, run.key.c_str(), solve::status_name(failure.status),
+      failure.iteration, failure.last_good_residual, out.retries,
+      out.retries == 1 ? "y" : "ies",
+      out.shed ? "shed" : solve::status_name(column.status));
 }
 
-void SolverDaemon::record_completion(const SolveResponse& response) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.completed;
-  stats_.queue_seconds_sum += response.latency.queue_seconds;
-  stats_.build_seconds_sum += response.latency.build_seconds;
-  stats_.solve_seconds_sum += response.latency.solve_seconds;
-  stats_.total_seconds_sum += response.latency.total_seconds;
-  if (total_ms_reservoir_.size() < kMaxReservoir) {
-    total_ms_reservoir_.push_back(response.latency.total_seconds * 1e3);
+// The rebuild rung: evicts the damaged resident and builds a fresh one.
+// Returns false, keeping the old entry, when the build fails.
+bool SolverDaemon::rebuild_resident(BatchRun& run) {
+  cache_.erase(run.key);
+  try {
+    if (ResidencyCache::EntryPtr fresh = cache_.get_or_build(
+            run.key, [this, &run] { return build_resident(run); })) {
+      run.entry = std::move(fresh);
+      return true;
+    }
+  } catch (const std::exception& e) {
+    RF_LOG_WARN("serve: rebuilding \"%s\" for recovery failed: %s",
+                run.key.c_str(), e.what());
+  }
+  return false;
+}
+
+// Answers every column, folding its latency and ladder outcome into
+// stats_ under one lock (taken before any of the batch's futures resolves).
+void SolverDaemon::respond(BatchRun& run) {
+  const TimePoint done = Clock::now();
+  const std::size_t k = run.requests.size();
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    ++stats_.batches;
+    stats_.batched_requests += k;
+    stats_.max_batch_k = std::max<std::uint64_t>(stats_.max_batch_k, k);
+    double reprogram_seconds = 0.0;  // summed per batch, then added once
+    for (std::size_t c = 0; c < k; ++c) {
+      const ColumnOutcome& out = run.outcome[c];
+      stats_.abft_failures += static_cast<std::uint64_t>(out.abft_failures);
+      stats_.retries += static_cast<std::uint64_t>(out.retries);
+      stats_.reprograms += static_cast<std::uint64_t>(out.reprograms);
+      stats_.rebuilds += static_cast<std::uint64_t>(out.rebuilds);
+      reprogram_seconds += out.reprogram_seconds;
+      if (out.shed) continue;  // answered below; respond_shed counts it
+
+      PendingRequest& p = run.requests[c];
+      solve::SolveResult& column = run.result.columns[c];
+      SolveResponse r;
+      r.status = ResponseStatus::kOk;
+      r.solve_status = column.status;
+      r.iterations = column.iterations;
+      r.final_residual = column.final_residual;
+      if (p.request.want_solution) r.solution = std::move(column.solution);
+      r.batch_k = k;
+      r.solver = run.entry->indefinite ? "bicgstab" : "cg";
+      r.backend = core::backend_kind_name(out.kind);
+      r.cache_hit = run.cache_hit;
+      r.retries = out.retries;
+      r.degraded = out.kind != run.kind;
+      r.latency.queue_seconds = seconds(p.dequeue_time - p.submit_time);
+      r.latency.build_seconds = run.cache_hit ? 0.0 : run.build_seconds;
+      r.latency.solve_seconds = run.solve_seconds;
+      r.latency.total_seconds = seconds(done - p.submit_time);
+
+      ++stats_.completed;
+      stats_.queue_seconds_sum += r.latency.queue_seconds;
+      stats_.build_seconds_sum += r.latency.build_seconds;
+      stats_.solve_seconds_sum += r.latency.solve_seconds;
+      stats_.total_seconds_sum += r.latency.total_seconds;
+      if (total_ms_reservoir_.size() < kMaxReservoir) {
+        total_ms_reservoir_.push_back(r.latency.total_seconds * 1e3);
+      }
+      // A column that failed, walked the ladder and answered converged.
+      if (out.retries > 0 && r.solve_status == solve::SolveStatus::kConverged) {
+        ++stats_.recovered;
+        if (r.degraded) ++stats_.degraded;
+      }
+      p.promise.set_value(std::move(r));
+    }
+    stats_.reprogram_seconds_sum += reprogram_seconds;
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    if (run.outcome[c].shed) {
+      respond_shed(std::move(run.requests[c]), ResponseStatus::kShedDeadline);
+    }
   }
 }
 

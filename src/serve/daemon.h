@@ -1,5 +1,4 @@
-// SolverDaemon: the request-driven serving front of the solver stack
-// (ROADMAP item 1 — "the millions-of-users story end to end").
+// SolverDaemon: the request-driven serving front of the solver stack.
 //
 // Dataflow:  submit() -> bounded MPMC queue (admission control, shed on
 // full) -> dispatch loop -> Batcher (deadline-bounded k-RHS batches per
@@ -27,7 +26,6 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +34,7 @@
 #include "src/serve/batcher.h"
 #include "src/serve/request.h"
 #include "src/serve/residency_cache.h"
+#include "src/solvers/batched.h"
 #include "src/sparse/csr.h"
 #include "src/util/mpmc_queue.h"
 
@@ -53,10 +52,8 @@ struct ServeConfig {
   // every operator apply is verified (REFLOAT_SERVE_ABFT=0 disables; the
   // recovery ladder then only sees divergence/stall/breakdown failures).
   bool abft = true;                   // REFLOAT_SERVE_ABFT
-  // Recovery-ladder attempt budget per failed column; 0 disables retries
-  // entirely (failures are answered as-is). Rungs: re-solve, then
-  // reprogram (bit-true) or rebuild (persistent corruption), then degrade
-  // one execution view per attempt (bittrue -> noisy -> value).
+  // Recovery-ladder attempt budget per failed column (rungs: next_rung
+  // below); 0 disables retries entirely (failures are answered as-is).
   int max_retries = 4;                // REFLOAT_SERVE_RETRIES
 
   // Reads the REFLOAT_SERVE_* overrides onto the defaults above (invalid
@@ -97,6 +94,49 @@ struct ServeStats {
                               static_cast<double>(batches);
   }
 };
+
+// --- Recovery ladder -------------------------------------------------------
+// One failed column walks down these rungs, one attempt each, bounded by
+// config.max_retries and the request's deadline:
+//   1. kResolve: re-solve on the same backend. An ABFT-corrupted solve
+//      re-runs from scratch — the flagged apply's output was discarded
+//      before touching x, so a clean retry reproduces the fault-free
+//      trajectory bit-for-bit (transient faults). Diverged/stalled/
+//      breakdown trajectories instead warm-start from the last-good iterate.
+//   2. kReprogram (bit-true): reprogram the crossbar image under a fresh
+//      fault seed, priced at a full write-verify programming pass, then
+//      re-solve. kRebuild (other views, when corruption survived rung 1 —
+//      a damaged resident image, not a transient): evict the residency
+//      entry, rebuild it and re-solve. A refused reprogram or a failed
+//      rebuild leaves the rung open for the next attempt.
+//   3. kDegrade: step one execution view down per remaining attempt
+//      (bittrue -> noisy -> value) and re-solve; the response carries
+//      degraded=true and the view that actually answered. Value is the
+//      floor: kStop there, as on convergence.
+// Before every attempt the expected cost (the measured duration of the
+// previous attempt) is checked against the deadline; when another attempt
+// no longer fits, the request is shed (kShed) instead of answered late.
+enum class LadderRung {
+  kResolve, kReprogram, kRebuild, kDegrade, kShed, kStop
+};
+
+// Everything the rung choice depends on. The caller owns the clock and the
+// attempt budget (config.max_retries); next_rung never reads either.
+struct LadderState {
+  core::BackendKind served = core::BackendKind::kValue;   // the batch's view
+  core::BackendKind current = core::BackendKind::kValue;  // the last attempt's
+  solve::SolveStatus status = solve::SolveStatus::kCorrupted;  // its outcome
+  bool reprogrammed = false;  // a reprogram rung succeeded
+  bool rebuilt = false;       // a rebuild rung succeeded
+  int attempt = 1;            // the attempt about to run, 1-based
+  TimePoint now{};
+  double estimate_seconds = 0.0;  // the previous attempt's duration
+  TimePoint deadline = kNoDeadline;
+};
+
+// The recovery ladder's policy: which rung the next attempt takes. Pure —
+// a function of `state` alone, so tests drive it without a daemon.
+LadderRung next_rung(const LadderState& state);
 
 class SolverDaemon {
  public:
@@ -152,30 +192,16 @@ class SolverDaemon {
   void step(TimePoint now, bool force);
   void dispatch_batch(Batcher::ReadyBatch&& batch);
   void respond_shed(PendingRequest&& pending, ResponseStatus status);
-  void record_completion(const SolveResponse& response);
 
-  // One failed column's walk down the recovery ladder (daemon.cc "Recovery
-  // ladder" comment block for the rung order).
-  struct Recovery {
-    solve::SolveResult column;  // the answer to report (possibly original)
-    int retries = 0;            // ladder attempts consumed
-    bool degraded = false;      // answered from a lower execution view
-    core::BackendKind final_kind = core::BackendKind::kValue;
-    bool shed = false;          // deadline could not fit another attempt
-    int reprograms = 0;         // crossbar reprogram rungs taken
-    int rebuilds = 0;           // residency rebuild rungs taken
-    int abft_failures = 0;      // retry attempts that ended kCorrupted
-    double reprogram_seconds = 0.0;  // modeled write-verify reprogram cost
-  };
-  Recovery recover_column(const std::string& key,
-                          ResidencyCache::EntryPtr& entry,
-                          const ResidencyCache::Builder& rebuild,
-                          core::BackendKind kind, double sigma,
-                          std::span<const double> b_col, double tolerance,
-                          std::uint64_t noise_seed, TimePoint deadline,
-                          const solve::SolveOptions& options,
-                          solve::SolveResult&& failed,
-                          double attempt_estimate_seconds);
+  // One dispatched batch's working state, threaded through the stages of
+  // dispatch_batch (daemon.cc).
+  struct BatchRun;
+  bool acquire_resident(Batcher::ReadyBatch& batch, BatchRun& run);
+  ResidencyCache::EntryPtr build_resident(const BatchRun& run) const;
+  void fill_rhs(Batcher::ReadyBatch& batch, BatchRun& run);
+  void walk_ladder(BatchRun& run, const solve::ColumnFailure& failure);
+  bool rebuild_resident(BatchRun& run);
+  void respond(BatchRun& run);
 
   ServeConfig config_;
   util::BoundedQueue<PendingRequest> queue_;

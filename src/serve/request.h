@@ -26,6 +26,12 @@ using Duration = Clock::duration;
 // "No deadline": requests default to this and are never deadline-shed.
 inline constexpr TimePoint kNoDeadline = TimePoint::max();
 
+// The longest span in ms that wire and env input may name (a deadline, a
+// batch window): ~31.7 years, far inside the clock's signed 64-bit
+// nanoseconds, so now() + span cannot overflow. Parsers reject longer
+// spans, inf and NaN instead of casting them.
+inline constexpr double kMaxSpanMs = 1e12;
+
 struct SolveRequest {
   std::string matrix;        // registry key (e.g. a suite name)
   std::vector<double> rhs;   // dim() entries; empty -> generated from

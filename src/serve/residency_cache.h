@@ -56,7 +56,6 @@ struct ResidentEntry {
   core::AbftChecksum abft;
   std::size_t bytes = 0;       // what the cache budgets for this entry
   bool indefinite = false;     // probe_definiteness routing verdict
-  double build_seconds = 0.0;  // one-time cost the residency amortizes
 };
 
 class ResidencyCache {

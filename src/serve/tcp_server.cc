@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -229,7 +230,8 @@ std::string TcpServer::handle_line(SolverDaemon& daemon,
       }
     } else if (key == "deadline_ms") {
       const double dms = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || !(dms >= 0)) {
+      if (end == value.c_str() || *end != '\0' ||
+          !(dms >= 0 && dms <= kMaxSpanMs)) {
         return "ERR bad deadline_ms \"" + value + "\"";
       }
       request.deadline =
@@ -250,8 +252,10 @@ std::string TcpServer::handle_line(SolverDaemon& daemon,
       }
     } else if (key == "sigma") {
       request.noise_sigma = std::strtod(value.c_str(), &end);
+      // An infinite sigma would also make the ABFT tolerance infinite,
+      // passing every non-finite sweep.
       if (end == value.c_str() || *end != '\0' ||
-          !(request.noise_sigma >= 0)) {
+          !(request.noise_sigma >= 0 && std::isfinite(request.noise_sigma))) {
         return "ERR bad sigma \"" + value + "\"";
       }
     } else if (key == "noise_seed") {

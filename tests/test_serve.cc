@@ -13,7 +13,11 @@
 #include <bit>
 #include <chrono>
 #include <future>
+#include <cstdint>
+#include <cstdlib>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/gen/grid.h"
@@ -726,6 +730,174 @@ TEST(ServeFaults, FaultVerbRoundTrips) {
   EXPECT_FALSE(quit);
 }
 
+// --- Recovery-ladder policy: next_rung driven directly --------------------
+
+// Walks next_rung the way the daemon does, with every attempt ending in
+// `status` (never converging) and a budget of `attempts`: a reprogram or
+// rebuild rung succeeds when `rungs_succeed`, a degrade steps the current
+// view down. Returns the rungs taken and the view each attempt ran on.
+struct Walk {
+  std::vector<LadderRung> rungs;
+  std::vector<core::BackendKind> views;
+};
+Walk walk_rungs(core::BackendKind served, solve::SolveStatus status,
+                 int attempts, bool rungs_succeed = true) {
+  Walk walk;
+  LadderState state{.served = served, .current = served, .status = status};
+  for (; state.attempt <= attempts; ++state.attempt) {
+    const LadderRung rung = next_rung(state);
+    walk.rungs.push_back(rung);
+    if (rung == LadderRung::kStop || rung == LadderRung::kShed) break;
+    if (rung == LadderRung::kReprogram) state.reprogrammed = rungs_succeed;
+    if (rung == LadderRung::kRebuild) state.rebuilt = rungs_succeed;
+    if (rung == LadderRung::kDegrade) {
+      state.current = state.current == core::BackendKind::kBitTrue
+                          ? core::BackendKind::kNoisy
+                          : core::BackendKind::kValue;
+    }
+    walk.views.push_back(state.current);
+  }
+  return walk;
+}
+
+using core::BackendKind;
+using solve::SolveStatus;
+using R = LadderRung;
+
+TEST(LadderPolicy, BitTrueReprogramsThenDegradesToTheValueFloor) {
+  const Walk w = walk_rungs(BackendKind::kBitTrue, SolveStatus::kCorrupted, 8);
+  EXPECT_EQ(w.rungs, (std::vector<R>{R::kResolve, R::kReprogram, R::kDegrade,
+                                     R::kDegrade, R::kStop}));
+  EXPECT_EQ(w.views,
+            (std::vector<BackendKind>{BackendKind::kBitTrue,
+                                      BackendKind::kBitTrue,
+                                      BackendKind::kNoisy,
+                                      BackendKind::kValue}));
+  // Persistent non-corrupted failures take the same rungs on bit-true.
+  EXPECT_EQ(walk_rungs(BackendKind::kBitTrue, SolveStatus::kDiverged, 8).rungs,
+            w.rungs);
+}
+
+TEST(LadderPolicy, CorruptionRebuildsNoisyAndValueResidents) {
+  EXPECT_EQ(walk_rungs(BackendKind::kNoisy, SolveStatus::kCorrupted, 8).rungs,
+            (std::vector<R>{R::kResolve, R::kRebuild, R::kDegrade, R::kStop}));
+  EXPECT_EQ(walk_rungs(BackendKind::kValue, SolveStatus::kCorrupted, 8).rungs,
+            (std::vector<R>{R::kResolve, R::kRebuild, R::kStop}));
+}
+
+TEST(LadderPolicy, NonCorruptedFailureOnValueResolvesOnceThenStops) {
+  for (SolveStatus s : {SolveStatus::kDiverged, SolveStatus::kStalled,
+                        SolveStatus::kBreakdown}) {
+    EXPECT_EQ(walk_rungs(BackendKind::kValue, s, 8).rungs,
+              (std::vector<R>{R::kResolve, R::kStop}))
+        << solve::status_name(s);
+  }
+  // On noisy the same failure skips the rebuild and degrades.
+  EXPECT_EQ(walk_rungs(BackendKind::kNoisy, SolveStatus::kDiverged, 8).rungs,
+            (std::vector<R>{R::kResolve, R::kDegrade, R::kStop}));
+}
+
+TEST(LadderPolicy, RefusedReprogramOrFailedRebuildTriesAgain) {
+  EXPECT_EQ(walk_rungs(BackendKind::kBitTrue, SolveStatus::kCorrupted, 4,
+                        /*rungs_succeed=*/false)
+                .rungs,
+            (std::vector<R>{R::kResolve, R::kReprogram, R::kReprogram,
+                            R::kReprogram}));
+  EXPECT_EQ(walk_rungs(BackendKind::kValue, SolveStatus::kCorrupted, 4,
+                        /*rungs_succeed=*/false)
+                .rungs,
+            (std::vector<R>{R::kResolve, R::kRebuild, R::kRebuild,
+                            R::kRebuild}));
+}
+
+TEST(LadderPolicy, ConvergedStopsAndTheBudgetBoundsTheWalk) {
+  LadderState state{.status = SolveStatus::kConverged, .attempt = 2};
+  EXPECT_EQ(next_rung(state), R::kStop);
+  EXPECT_EQ(walk_rungs(BackendKind::kBitTrue, SolveStatus::kCorrupted, 2).rungs,
+            (std::vector<R>{R::kResolve, R::kReprogram}));
+  EXPECT_TRUE(walk_rungs(BackendKind::kValue, SolveStatus::kCorrupted, 0)
+                  .rungs.empty());
+}
+
+TEST(LadderPolicy, ShedsWhenTheEstimateOverrunsTheDeadline) {
+  // Both times are passed in; nothing here reads a clock.
+  const TimePoint now = TimePoint{} + std::chrono::hours(1);
+  LadderState state{.status = SolveStatus::kCorrupted,
+                    .now = now,
+                    .estimate_seconds = 0.5,
+                    .deadline = now + milliseconds(400)};
+  EXPECT_EQ(next_rung(state), R::kShed);
+  state.deadline = now + milliseconds(500);  // exactly fits: not late
+  EXPECT_EQ(next_rung(state), R::kResolve);
+  state.attempt = 3;
+  state.estimate_seconds = 0.6;  // checked before every rung, not just 1
+  EXPECT_EQ(next_rung(state), R::kShed);
+  state.deadline = kNoDeadline;  // no deadline never sheds
+  state.estimate_seconds = 1e6;
+  EXPECT_EQ(next_rung(state), R::kRebuild);
+}
+
+// --- Env overrides: invalid values warn and keep the default --------------
+
+// Sets one variable for the scope of a test and clears it after.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() { ::unsetenv(name_); }
+  const char* name_;
+};
+
+// from_env() under one override, returning the config and what it logged.
+std::pair<ServeConfig, std::string> config_with(const char* name,
+                                                const char* value) {
+  ScopedEnv env(name, value);
+  testing::internal::CaptureStderr();
+  ServeConfig config = ServeConfig::from_env();
+  return {config, testing::internal::GetCapturedStderr()};
+}
+
+TEST(ServeEnv, AbftAcceptsOnlyZeroOrOne) {
+  const ServeConfig defaults;
+  EXPECT_FALSE(config_with("REFLOAT_SERVE_ABFT", "0").first.abft);
+  EXPECT_TRUE(config_with("REFLOAT_SERVE_ABFT", "1").first.abft);
+  const auto [config, log] = config_with("REFLOAT_SERVE_ABFT", "off");
+  EXPECT_EQ(config.abft, defaults.abft);
+  EXPECT_NE(log.find("REFLOAT_SERVE_ABFT"), std::string::npos) << log;
+}
+
+TEST(ServeEnv, CacheMbThatWouldWrapKeepsTheDefault) {
+  const ServeConfig defaults;
+  const std::string too_big = std::to_string((SIZE_MAX >> 20) + 1);
+  const auto [config, log] =
+      config_with("REFLOAT_SERVE_CACHE_MB", too_big.c_str());
+  EXPECT_EQ(config.cache_bytes, defaults.cache_bytes);
+  EXPECT_NE(log.find("REFLOAT_SERVE_CACHE_MB"), std::string::npos) << log;
+  EXPECT_EQ(config_with("REFLOAT_SERVE_CACHE_MB", "3").first.cache_bytes,
+            3u << 20);
+}
+
+TEST(ServeEnv, NonFiniteWindowKeepsTheDefault) {
+  const ServeConfig defaults;
+  for (const char* bad : {"inf", "nan", "1e300", "-1"}) {
+    const auto [config, log] = config_with("REFLOAT_SERVE_WINDOW_MS", bad);
+    EXPECT_EQ(config.batch_window_ms, defaults.batch_window_ms) << bad;
+    EXPECT_NE(log.find("REFLOAT_SERVE_WINDOW_MS"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(config_with("REFLOAT_SERVE_WINDOW_MS", "0.5").first.batch_window_ms,
+            0.5);
+}
+
+TEST(ServeEnv, RetriesMayBeZeroButNotNegative) {
+  const ServeConfig defaults;
+  EXPECT_EQ(config_with("REFLOAT_SERVE_RETRIES", "0").first.max_retries, 0);
+  for (const char* bad : {"-1", "two", "99999999999"}) {
+    const auto [config, log] = config_with("REFLOAT_SERVE_RETRIES", bad);
+    EXPECT_EQ(config.max_retries, defaults.max_retries) << bad;
+    EXPECT_NE(log.find("REFLOAT_SERVE_RETRIES"), std::string::npos) << bad;
+  }
+}
+
 // --- TCP hardening ---------------------------------------------------------
 
 int connect_loopback(std::uint16_t port) {
@@ -792,6 +964,35 @@ TEST(TcpHardening, IdleConnectionIsDropped) {
   char c = 0;
   EXPECT_LE(::recv(fd, &c, 1, 0), 0);
   ::close(fd);
+}
+
+TEST(TcpHardening, NonFiniteOrOverflowingDeadlineAndSigmaAreRejected) {
+  SolverDaemon daemon(manual_config());
+  register_test_matrix(daemon);
+  bool quit = false;
+  for (const char* bad : {"inf", "1e300", "1e13", "nan", "-1"}) {
+    const std::string line =
+        std::string("SOLVE ") + kName + " deadline_ms=" + bad;
+    EXPECT_EQ(TcpServer::handle_line(daemon, line, &quit),
+              std::string("ERR bad deadline_ms \"") + bad + "\"");
+  }
+  for (const char* bad : {"inf", "nan", "-0.1"}) {
+    const std::string line = std::string("SOLVE ") + kName + " sigma=" + bad;
+    EXPECT_EQ(TcpServer::handle_line(daemon, line, &quit),
+              std::string("ERR bad sigma \"") + bad + "\"");
+  }
+  EXPECT_EQ(daemon.stats().submitted, 0u);  // rejected on the wire
+}
+
+TEST(TcpHardening, LongestDeadlineStillSolves) {
+  // The largest accepted deadline lands ~31.7 years out, not before now.
+  SolverDaemon daemon;  // threaded: handle_line blocks on the answer
+  register_test_matrix(daemon);
+  bool quit = false;
+  const std::string reply = TcpServer::handle_line(
+      daemon, std::string("SOLVE ") + kName + " rhs=seed:1 deadline_ms=1e12",
+      &quit);
+  EXPECT_EQ(reply.rfind("OK status=converged", 0), 0u) << reply;
 }
 
 }  // namespace
