@@ -6,6 +6,10 @@
 // sequential solves.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "src/gen/grid.h"
@@ -14,6 +18,7 @@
 #include "src/solvers/cg.h"
 #include "src/solvers/reference_backend.h"
 #include "src/util/thread_pool.h"
+#include "tests/golden_hash.h"
 
 namespace refloat::solve {
 namespace {
@@ -50,6 +55,56 @@ void expect_columns_match_serial(const BatchedSolveResult& batch,
   }
 }
 
+// One column's recorded trajectory: terminal status, iteration count, the
+// bit pattern of final_residual and an FNV-1a hash of the solution's bits,
+// as tests/golden_trajectories.inc records them. The rows below were
+// recorded from the separate serial cg/bicgstab implementations, so they
+// pin the lockstep drivers against a reference that shares none of their
+// code. A failing column prints its recorded form.
+struct GoldenColumn {
+  const char* status;
+  long iterations;
+  std::uint64_t residual_bits;
+  std::uint64_t solution_hash;
+};
+
+constexpr GoldenColumn kCgGolden[] = {
+    {"converged", 57, 0x3e3fb4e25f3ab8f4ULL, 0x1bfe5efaabb1a498ULL},
+    {"converged", 58, 0x3e4064091a7c7f44ULL, 0xbf4068f462de28b4ULL},
+    {"converged", 70, 0x3e36f4645ed9ae74ULL, 0x7e21da09614a20b8ULL},
+    {"converged", 58, 0x3e3ec103c940ff46ULL, 0x8279c4a06fba4133ULL},
+};
+
+constexpr GoldenColumn kBicgstabGolden[] = {
+    {"converged", 50, 0x3e43560c584cf749ULL, 0x8203ae62545068c8ULL},
+    {"converged", 61, 0x3e121527a235e8edULL, 0x5700cc26b08aa1e4ULL},
+    {"converged", 43, 0x3e411b6dbf0cf94eULL, 0xa212a99314dc72b6ULL},
+};
+
+constexpr GoldenColumn kReferenceGolden[] = {
+    {"max-iterations", 7, 0x3fb140be9e04643cULL, 0xff3f11aba67fcad3ULL},
+    {"max-iterations", 7, 0x3f954986bd950563ULL, 0x80057a3b4c975b54ULL},
+};
+
+void expect_columns_match_golden(const BatchedSolveResult& batch,
+                                 std::span<const GoldenColumn> golden) {
+  ASSERT_EQ(batch.columns.size(), golden.size());
+  for (std::size_t c = 0; c < golden.size(); ++c) {
+    const SolveResult& got = batch.columns[c];
+    const GoldenColumn& want = golden[c];
+    const auto bits = std::bit_cast<std::uint64_t>(got.final_residual);
+    const std::uint64_t hash = golden::fnv1a(got.solution);
+    const bool same = std::string(want.status) == status_name(got.status) &&
+                      want.iterations == got.iterations &&
+                      want.residual_bits == bits &&
+                      want.solution_hash == hash;
+    EXPECT_TRUE(same) << "column " << c << " differs; recorded form:\n"
+                      << "{\"" << status_name(got.status) << "\", "
+                      << got.iterations << ", 0x" << std::hex << bits
+                      << "ULL, 0x" << hash << "ULL},";
+  }
+}
+
 TEST(BatchedSolve, CgMultiBitIdenticalToSequentialCg) {
   util::ThreadPool::set_global_threads(1);
   const sparse::Csr a = test_matrix();
@@ -77,6 +132,7 @@ TEST(BatchedSolve, CgMultiBitIdenticalToSequentialCg) {
   BackendMultiOperator multi(*backend, k);
   const BatchedSolveResult batch = cg_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
+  expect_columns_match_golden(batch, kCgGolden);
 
   // The whole point: far fewer operator invocations than k solves' applies,
   // while the per-column application count is conserved.
@@ -109,6 +165,7 @@ TEST(BatchedSolve, BicgstabMultiBitIdenticalToSequentialBicgstab) {
   BackendMultiOperator multi(*backend, k);
   const BatchedSolveResult batch = bicgstab_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
+  expect_columns_match_golden(batch, kBicgstabGolden);
   EXPECT_LT(batch.batched_applies, batch.column_applies);
 }
 
@@ -137,6 +194,7 @@ TEST(BatchedSolve, ReferenceBackendMatchesTooAndHandlesMaxIterations) {
   BackendMultiOperator multi(op, k);
   const BatchedSolveResult batch = cg_multi(multi, b, k, opts);
   expect_columns_match_serial(batch, serial);
+  expect_columns_match_golden(batch, kReferenceGolden);
   EXPECT_FALSE(batch.all_converged());
 }
 

@@ -38,6 +38,7 @@
 #include "src/solvers/bicgstab.h"
 #include "src/solvers/cg.h"
 #include "src/solvers/reference_backend.h"
+#include "tests/golden_hash.h"
 
 namespace refloat {
 namespace {
@@ -79,18 +80,6 @@ solve::SolveOptions golden_options() {
   opts.max_iterations = 300;
   opts.stall_window = 60;
   return opts;
-}
-
-std::uint64_t fnv1a(const std::vector<double>& v) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const double d : v) {
-    const auto bits = std::bit_cast<std::uint64_t>(d);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (8 * byte)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
 }
 
 // One platform of one matrix: a fresh backend per run (stochastic views
@@ -148,7 +137,7 @@ bool is_cg(const GoldenRow& row) { return std::string(row.solver) == "cg"; }
 void expect_row(const GoldenRow& row, const solve::SolveResult& got,
                 const char* run) {
   const std::uint64_t bits = std::bit_cast<std::uint64_t>(got.final_residual);
-  const std::uint64_t hash = fnv1a(got.solution);
+  const std::uint64_t hash = golden::fnv1a(got.solution);
   const bool same = std::string(row.status) == solve::status_name(got.status) &&
                     row.iterations == got.iterations &&
                     row.residual_bits == bits && row.solution_hash == hash;
