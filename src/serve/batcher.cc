@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 namespace refloat::serve {
 
@@ -20,6 +21,13 @@ std::string batch_key(const SolveRequest& request) {
       return request.matrix + "#bittrue";
   }
   return request.matrix;
+}
+
+bool is_batch_key_of(const std::string& key, const std::string& matrix) {
+  if (!key.starts_with(matrix)) return false;
+  const std::string_view suffix = std::string_view(key).substr(matrix.size());
+  return suffix.empty() || suffix == "#bittrue" ||
+         suffix.starts_with("#noisy@");
 }
 
 void Batcher::add(PendingRequest&& pending, TimePoint now) {

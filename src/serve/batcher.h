@@ -47,6 +47,10 @@ struct PendingRequest {
 // sigmas are two different operators.
 std::string batch_key(const SolveRequest& request);
 
+// True when `key` is a batch_key of some request on `matrix` (any backend,
+// any sigma) — the residency keys that registering `matrix` again drops.
+bool is_batch_key_of(const std::string& key, const std::string& matrix);
+
 class Batcher {
  public:
   Batcher(std::size_t max_batch, Duration window)

@@ -201,8 +201,16 @@ SolverDaemon::~SolverDaemon() { shutdown(); }
 void SolverDaemon::register_matrix(const std::string& name,
                                    const core::Format& format,
                                    std::function<sparse::Csr()> build) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
-  registry_[name] = Registration{format, std::move(build)};
+  {
+    std::lock_guard<std::mutex> lock(registry_mutex_);
+    registry_[name] = Registration{format, std::move(build)};
+  }
+  // The next batch on any of the name's keys rebuilds from the new
+  // registration; a batch already holding an old entry keeps it alive
+  // until it finishes, as with eviction.
+  for (const std::string& key : cache_.keys_lru_to_mru()) {
+    if (is_batch_key_of(key, name)) cache_.erase(key);
+  }
 }
 
 void SolverDaemon::register_suite() {

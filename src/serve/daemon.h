@@ -148,7 +148,9 @@ class SolverDaemon {
   // Registers a matrix the daemon can serve: `build` produces the exact
   // CSR (called at most once per residency; the cache amortizes it) and
   // `format` is the ReFloat format it quantizes into. Re-registering a
-  // name replaces the builder (existing residents are dropped).
+  // name replaces the builder and drops the name's residents on every
+  // backend (value, noisy at any sigma, bit-true); a batch already holding
+  // one keeps it until the batch finishes.
   void register_matrix(const std::string& name, const core::Format& format,
                        std::function<sparse::Csr()> build);
 

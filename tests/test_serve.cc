@@ -297,6 +297,47 @@ TEST(Serve, UnknownMatrixAndBadRhs) {
   EXPECT_EQ(daemon.stats().failed, 2u);
 }
 
+TEST(Serve, ReRegisteringDropsEveryResidentOfTheName) {
+  // Served as 16x12 on the value, noisy and bit-true backends, then
+  // re-registered as 8x8: no stale resident may answer, so a 64-entry rhs
+  // solves on the new matrix and a 192-entry one is a bad request.
+  SolverDaemon daemon(manual_config());
+  register_test_matrix(daemon);
+  auto serve = [&daemon](std::vector<double> rhs, core::BackendKind backend) {
+    SolveRequest request;
+    request.matrix = kName;
+    request.rhs = std::move(rhs);
+    request.tolerance = 1e-6;
+    request.backend = backend;
+    request.noise_sigma = 1e-3;
+    auto future = daemon.submit(std::move(request));
+    const TimePoint t0 = Clock::now();
+    daemon.pump(t0);
+    daemon.pump(t0 + milliseconds(3));
+    return future.get();
+  };
+  const std::vector<double> b_old = solve::make_rhs(test_csr());
+  for (const core::BackendKind backend :
+       {core::BackendKind::kValue, core::BackendKind::kNoisy,
+        core::BackendKind::kBitTrue}) {
+    ASSERT_EQ(serve(b_old, backend).status, ResponseStatus::kOk);
+  }
+  ASSERT_EQ(daemon.stats().cache.resident_count, 3u);
+
+  const sparse::Csr small =
+      gen::build_stencil(gen::laplace2d_5pt(8, 8)).shifted(0.15);
+  daemon.register_matrix(kName, test_format(), [small] { return small; });
+  EXPECT_EQ(daemon.stats().cache.resident_count, 0u);
+
+  const SolveResponse fits =
+      serve(solve::make_rhs(small), core::BackendKind::kValue);
+  EXPECT_EQ(fits.status, ResponseStatus::kOk);
+  EXPECT_EQ(fits.solve_status, solve::SolveStatus::kConverged);
+  EXPECT_EQ(fits.solution.size(), 64u);
+  EXPECT_EQ(serve(b_old, core::BackendKind::kValue).status,
+            ResponseStatus::kBadRequest);
+}
+
 TEST(Serve, ProbeRoutesIndefiniteToBicgstab) {
   SolverDaemon daemon(manual_config());
   register_test_matrix(daemon);
