@@ -8,6 +8,7 @@
 // (355, 2257, 2259, 845 have negative deltas); gridgena converges at the
 // first residual check (1 iteration) everywhere.
 #include <cstdio>
+#include <string>
 
 #include "bench/harness.h"
 #include "src/util/table.h"
@@ -39,8 +40,9 @@ const PaperIters& paper_of(int ss_id) {
 }
 
 std::string delta(long refloat_iters, long double_iters) {
-  const long d = refloat_iters - double_iters;
-  return d >= 0 ? "+" + std::to_string(d) : std::to_string(d);
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%+ld", refloat_iters - double_iters);
+  return buf;
 }
 
 }  // namespace
