@@ -12,7 +12,7 @@
 
 #include "bench/harness.h"
 #include "src/gen/wathen.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/reference_backend.h"
 #include "src/util/table.h"
 

@@ -11,7 +11,7 @@
 #include "bench/harness.h"
 #include "src/gen/grid.h"
 #include "src/hw/bit_true_backend.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/solver.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"

@@ -11,7 +11,7 @@
 
 #include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/sparse/vector_ops.h"
 #include "src/util/random.h"
 #include "src/util/table.h"

@@ -9,7 +9,7 @@
 
 #include "bench/harness.h"
 #include "src/arch/cost.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/util/table.h"
 
 int main() {

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/util/table.h"
 
 int main() {

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench/harness.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/reference_backend.h"
 #include "src/sparse/vector_ops.h"
 #include "src/util/table.h"

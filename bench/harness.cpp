@@ -15,8 +15,7 @@
 #endif
 
 #include "src/arch/cost.h"
-#include "src/solvers/bicgstab.h"
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 #include "src/solvers/reference_backend.h"
 #include "src/sparse/blocked.h"
 #include "src/util/log.h"

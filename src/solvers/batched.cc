@@ -36,6 +36,12 @@ void BackendMultiOperator::apply_multi(std::span<const double> x,
 void BackendMultiOperator::apply_multi_cols(
     std::span<const double> x, std::size_t k, std::span<double> y,
     std::span<const std::size_t> columns) {
+  // No seeds (solve::cg / solve::bicgstab): the backend's default context.
+  if (seeds_.empty()) {
+    backend_.sweep(x, k, y,
+                   {.seeds = {}, .sequences = {}, .verdict = &verdict_});
+    return;
+  }
   // Pass each packed column its OWN (seed, application-count) identity:
   // the streams a solo solve of that column would be consuming right now.
   ctx_seeds_.resize(k);
@@ -86,23 +92,28 @@ void finalize(ColumnState& col, SolveStatus status, long k) {
   col.done = true;
 }
 
-// Collects the structured failure report: every non-converged column with
+// Moves every column's result, with its solution, into the batch and
+// collects the structured failure report: every non-converged column with
 // its status, terminal iteration, and last residual known good (the
 // monitor's best finite residual; the final residual when nothing finite
 // was ever checked).
-void collect_failures(BatchedSolveResult& batch,
-                      const std::vector<ColumnState>& cols) {
+void finish(BatchedSolveResult& batch, std::vector<ColumnState>& cols,
+            const std::vector<double>& x, std::size_t n) {
   for (std::size_t c = 0; c < cols.size(); ++c) {
-    const SolveResult& r = cols[c].result;
-    if (r.status == SolveStatus::kConverged) continue;
-    double last_good = cols[c].monitor.best_residual();
-    if (!std::isfinite(last_good)) last_good = r.final_residual;
-    batch.failures.push_back(ColumnFailure{
-        .column = c,
-        .status = r.status,
-        .iteration = r.iterations,
-        .last_good_residual = last_good,
-    });
+    SolveResult& r = cols[c].result;
+    const auto xc = column(x, c, n);
+    r.solution.assign(xc.begin(), xc.end());
+    if (r.status != SolveStatus::kConverged) {
+      double last_good = cols[c].monitor.best_residual();
+      if (!std::isfinite(last_good)) last_good = r.final_residual;
+      batch.failures.push_back(ColumnFailure{
+          .column = c,
+          .status = r.status,
+          .iteration = r.iterations,
+          .last_good_residual = last_good,
+      });
+    }
+    batch.columns.push_back(std::move(r));
   }
 }
 
@@ -265,12 +276,7 @@ BatchedSolveResult cg_multi(MultiOperator& op, std::span<const double> b,
     drop_done(active, cols);
   }
 
-  collect_failures(batch, cols);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto xc = column(x, c, n);
-    cols[c].result.solution.assign(xc.begin(), xc.end());
-    batch.columns.push_back(std::move(cols[c].result));
-  }
+  finish(batch, cols, x, n);
   return batch;
 }
 
@@ -437,13 +443,20 @@ BatchedSolveResult bicgstab_multi(MultiOperator& op,
     drop_done(active, cols);
   }
 
-  collect_failures(batch, cols);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto xc = column(x, c, n);
-    cols[c].result.solution.assign(xc.begin(), xc.end());
-    batch.columns.push_back(std::move(cols[c].result));
-  }
+  finish(batch, cols, x, n);
   return batch;
+}
+
+SolveResult cg(core::SweepBackend& backend, std::span<const double> b,
+               const SolveOptions& options) {
+  BackendMultiOperator op(backend, std::vector<std::uint64_t>{});
+  return std::move(cg_multi(op, b, 1, options).columns[0]);
+}
+
+SolveResult bicgstab(core::SweepBackend& backend, std::span<const double> b,
+                     const SolveOptions& options) {
+  BackendMultiOperator op(backend, std::vector<std::uint64_t>{});
+  return std::move(bicgstab_multi(op, b, 1, options).columns[0]);
 }
 
 std::vector<double> make_rhs_batch(const sparse::Csr& a, std::size_t k,

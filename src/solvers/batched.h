@@ -1,6 +1,8 @@
-// Batched multi-RHS solves: AX = B for k right-hand sides in lockstep.
+// Krylov solvers: CG and BiCGSTAB, each implemented once as a lockstep
+// driver over k right-hand sides (AX = B), with solve::cg / solve::bicgstab
+// as the single-RHS entry points (k = 1 runs of the same drivers).
 //
-// The accelerator's economics motivate this layer (ROADMAP "batched
+// The accelerator's economics motivate the lockstep form (ROADMAP "batched
 // multi-rhs solves"): a programmed crossbar image is expensive to write and
 // cheap to reuse, so k independent CG/BiCGSTAB instances advance together
 // and merge their operator applications into ONE SpMM per apply point —
@@ -11,9 +13,8 @@
 // column keeps its own scalars, vectors, and Monitor, and every batched
 // apply is column-wise bit-identical to a single apply — so each column's
 // trajectory (status, iteration count, solution, trace) is bit-identical
-// to running solve::cg / solve::bicgstab on that column alone. Columns
-// that terminate drop out of the active batch; the remaining columns keep
-// batching.
+// to a k = 1 solve of that column alone. Columns that terminate drop out
+// of the active batch; the remaining columns keep batching.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +77,9 @@ class BackendMultiOperator final : public MultiOperator {
   BackendMultiOperator(core::SweepBackend& backend, std::size_t k,
                        std::uint64_t seed = 0x5eedULL);
   // Explicit per-column seeds (e.g. the serving layer passing each
-  // request's own noise seed).
+  // request's own noise seed). An EMPTY list means k = 1 on the backend's
+  // default context: a stochastic backend advances its own constructor
+  // seed and sweep counter, as solve::cg / solve::bicgstab require.
   BackendMultiOperator(core::SweepBackend& backend,
                        std::vector<std::uint64_t> seeds);
 
@@ -139,8 +142,21 @@ struct BatchedSolveResult {
   }
 };
 
+// Single-RHS CG (x0 = 0, absolute residual tolerance): column 0 of a k = 1
+// cg_multi run whose every apply is a default-context sweep, so a
+// stochastic backend advances its own streams. With an ABFT checksum
+// attached (SweepBackend::set_abft) a flagged apply ends the solve as
+// kCorrupted, x at the last iterate known good, like any lockstep column.
+SolveResult cg(core::SweepBackend& backend, std::span<const double> b,
+               const SolveOptions& options);
+
+// Single-RHS BiCGSTAB (van der Vorst; one iteration = two applies, Table
+// VI's convention): a k = 1 bicgstab_multi run under cg's contract.
+SolveResult bicgstab(core::SweepBackend& backend, std::span<const double> b,
+                     const SolveOptions& options);
+
 // Lockstep CG on k right-hand sides. `b` holds k column-major vectors of
-// op.dim() entries each. Column j's result is bit-identical to the serial
+// op.dim() entries each. Column j's result is bit-identical to
 // cg(backend, column j, options) on a backend that draws column j's
 // stream identity.
 //
@@ -148,7 +164,7 @@ struct BatchedSolveResult {
 // per column — the serving layer batches same-matrix requests that arrive
 // with different tolerances, and each column must still terminate exactly
 // as its solo solve would. Column j with tolerances[j] = t is bit-identical
-// to the serial solver run with options.tolerance = t.
+// to its solo solve with options.tolerance = t.
 //
 // `x0` (empty, or k column-major vectors) warm-starts the solve: x = x0 and
 // r = b - A x0 (one extra batched apply), the recovery ladder's "re-solve
@@ -160,8 +176,7 @@ BatchedSolveResult cg_multi(MultiOperator& op, std::span<const double> b,
                             std::span<const double> x0 = {});
 
 // Lockstep BiCGSTAB (same contract, including the restart rescue and the
-// early s-norm exit of the serial implementation — the early exit also
-// honors the per-column tolerance).
+// early s-norm exit — the early exit also honors the per-column tolerance).
 BatchedSolveResult bicgstab_multi(MultiOperator& op,
                                   std::span<const double> b, std::size_t k,
                                   const SolveOptions& options,

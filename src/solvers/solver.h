@@ -1,5 +1,6 @@
 // Common solver vocabulary: solve options/results and right-hand-side
-// construction. The iterative methods run against core::SweepBackend.
+// construction. The Krylov methods (src/solvers/batched.h) run against
+// core::SweepBackend.
 //
 // Residual convention: right-hand sides are normalized (||b|| = b_norm, 1.0
 // by default), and all residual thresholds are absolute L2 norms — identical

@@ -17,7 +17,6 @@
 #include "src/hw/bit_true_backend.h"
 #include "src/hw/hw_spmv.h"
 #include "src/solvers/batched.h"
-#include "src/solvers/cg.h"
 #include "src/util/random.h"
 #include "src/util/thread_pool.h"
 

@@ -1,9 +1,9 @@
 // The lockstep batching contract: cg_multi / bicgstab_multi are
 // orchestration only — every column's trajectory (status, iteration count,
-// residuals, trace, solution) is bit-identical to running the serial solver
-// on that column alone, even when columns terminate at different
-// iterations, and the batch issues far fewer operator applications than k
-// sequential solves.
+// residuals, trace, solution) is bit-identical to solving that column
+// alone (solve::cg / solve::bicgstab, a k = 1 run), even when columns
+// terminate at different iterations, and the batch issues far fewer
+// operator applications than k sequential solves.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,8 +14,6 @@
 
 #include "src/gen/grid.h"
 #include "src/solvers/batched.h"
-#include "src/solvers/bicgstab.h"
-#include "src/solvers/cg.h"
 #include "src/solvers/reference_backend.h"
 #include "src/util/thread_pool.h"
 #include "tests/golden_hash.h"
@@ -58,9 +56,9 @@ void expect_columns_match_serial(const BatchedSolveResult& batch,
 // One column's recorded trajectory: terminal status, iteration count, the
 // bit pattern of final_residual and an FNV-1a hash of the solution's bits,
 // as tests/golden_trajectories.inc records them. The rows below were
-// recorded from the separate serial cg/bicgstab implementations, so they
-// pin the lockstep drivers against a reference that shares none of their
-// code. A failing column prints its recorded form.
+// recorded from an earlier, separate single-RHS implementation of CG and
+// BiCGSTAB, so they pin the lockstep drivers against a reference that
+// shares none of their code. A failing column prints its recorded form.
 struct GoldenColumn {
   const char* status;
   long iterations;

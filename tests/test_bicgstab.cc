@@ -1,10 +1,9 @@
-#include "src/solvers/bicgstab.h"
+#include "src/solvers/batched.h"
 
 #include <gtest/gtest.h>
 
 #include "src/core/refloat_matrix.h"
 #include "src/gen/grid.h"
-#include "src/solvers/cg.h"
 #include "src/solvers/reference_backend.h"
 
 namespace refloat::solve {

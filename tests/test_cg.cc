@@ -1,4 +1,4 @@
-#include "src/solvers/cg.h"
+#include "src/solvers/batched.h"
 
 #include <gtest/gtest.h>
 

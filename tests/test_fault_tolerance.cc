@@ -2,8 +2,9 @@
 // grammar, counter-based replay, budgets, corruption), ABFT checked sweeps
 // on all three execution views (clean operators verify, corrupted outputs
 // and corrupted plans are flagged, checking never perturbs Y), and the
-// lockstep drivers' kCorrupted reporting + warm-start restart — the pieces
-// the serving daemon's recovery ladder is assembled from.
+// lockstep drivers' kCorrupted reporting (single-RHS solves included) +
+// warm-start restart — the pieces the serving daemon's recovery ladder is
+// assembled from.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -408,6 +409,34 @@ TEST(FaultySolve, BicgstabMultiReportsCorruption) {
     if (f.status == solve::SolveStatus::kCorrupted) corrupted_seen = true;
   }
   EXPECT_TRUE(corrupted_seen);
+}
+
+// solve::cg / solve::bicgstab are k = 1 lockstep runs, so a checked
+// backend's verdict finalizes the single-RHS solve too: the first apply
+// corrupts, the solve reports kCorrupted with x still the zero start, and
+// a clean re-solve on the same backend converges.
+TEST(FaultySolve, SingleRhsSolversReportCorruption) {
+  GlobalInjectorGuard guard;
+  const sparse::Csr a = test_csr();
+  const core::RefloatMatrix rf(a, test_format());
+  const std::vector<double> b = solve::make_rhs(a);
+  const core::AbftChecksum abft = core::make_abft_checksum(rf);
+  auto backend = core::make_value_backend(rf);
+  backend->set_abft(&abft);
+  solve::SolveOptions options;
+  options.tolerance = 1e-8;
+
+  for (const auto solver : {&solve::cg, &solve::bicgstab}) {
+    ASSERT_TRUE(FaultInjector::global().configure_from_text("sweep:1:5:1"));
+    const solve::SolveResult hit = solver(*backend, b, options);
+    EXPECT_EQ(hit.status, solve::SolveStatus::kCorrupted);
+    for (const double v : hit.solution) {
+      ASSERT_EQ(v, 0.0) << "corrupted apply must not touch x";
+    }
+    FaultInjector::global().disable_all();
+    EXPECT_EQ(solver(*backend, b, options).status,
+              solve::SolveStatus::kConverged);
+  }
 }
 
 TEST(FaultySolve, WarmStartApplyRejectedReportsInfiniteResidual) {

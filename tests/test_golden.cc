@@ -7,8 +7,12 @@
 // a refactor that shifts any trajectory fails here instead of in a
 // reader's memory of a bench table.
 //
-// The same rows pin the lockstep drivers: cg_multi / bicgstab_multi at
-// k = 1, and column 0 of a k = 3 batch, must reproduce the serial solve.
+// The rows were recorded from an earlier, independent implementation of
+// each method, so they pin the single lockstep driver of each against a
+// reference that shares none of its code. Every way of reaching that driver
+// must reproduce them: solve::cg / solve::bicgstab (k = 1 on the backend's
+// default context), cg_multi / bicgstab_multi at k = 1 with an explicit
+// seed, and column 0 of a k = 3 batch.
 //
 // The table (tests/golden_trajectories.inc) pins the default Release build
 // (REFLOAT_MARCH_NATIVE=OFF) and holds at any REFLOAT_THREADS. It does NOT
@@ -35,8 +39,6 @@
 #include "src/gen/wathen.h"
 #include "src/hw/bit_true_backend.h"
 #include "src/solvers/batched.h"
-#include "src/solvers/bicgstab.h"
-#include "src/solvers/cg.h"
 #include "src/solvers/reference_backend.h"
 #include "tests/golden_hash.h"
 
@@ -83,7 +85,8 @@ solve::SolveOptions golden_options() {
 }
 
 // One platform of one matrix: a fresh backend per run (stochastic views
-// count their sweeps), driven serially or through the lockstep adapter.
+// count their sweeps), solved directly on its default context or through an
+// explicitly seeded lockstep adapter.
 class Platform {
  public:
   Platform(const std::string& matrix, const std::string& name)

@@ -24,8 +24,6 @@
 #include "src/serve/daemon.h"
 #include "src/serve/tcp_server.h"
 #include "src/solvers/batched.h"
-#include "src/solvers/bicgstab.h"
-#include "src/solvers/cg.h"
 #include "src/util/fault_injector.h"
 
 namespace refloat::serve {
